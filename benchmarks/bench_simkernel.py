@@ -10,7 +10,7 @@ the same trace —
 
 asserting byte-identical :class:`RunResult`\\ s between the two (the
 differential gate), plus the cold end-to-end wall time of the
-experiment suite and the serial-vs-sharded wall of ``fig12``, and
+experiment suite and the serial-vs-``--jobs`` wall of ``fig12``, and
 writes ``BENCH_simkernel.json``.  The kernel loop runs on a
 run-length-amplified trace (each event repeated ``--run-length``
 times), which is the locality regime the fast path exploits — Figure 3
@@ -159,13 +159,14 @@ def bench_cold_suite(events: int) -> dict:
     return suite
 
 
-def bench_fig12_sharding(jobs: int) -> dict:
-    """fig12 wall time serial vs sharded, each in a fresh interpreter
-    (cold cache and cold in-process memos both times).
+def bench_fig12_jobs(jobs: int) -> dict:
+    """fig12 wall time serial vs ``--jobs``, each in a fresh
+    interpreter (cold cache and cold in-process memos both times).
 
-    On a single-core host the sharded run pays process spawn for no
-    parallel win — the recorded numbers say so honestly; on multi-core
-    CI runners sharding is where the ``--jobs`` speedup comes from.
+    Under ``--jobs`` fig12's per-(workload, regime) stages spread over
+    the worker pool.  On a single-core host that pays process spawn for
+    no parallel win — the recorded numbers say so honestly; on
+    multi-core CI runners it is where the ``--jobs`` speedup comes from.
     """
     import subprocess
 
@@ -173,7 +174,7 @@ def bench_fig12_sharding(jobs: int) -> dict:
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     walls = {}
     for label, extra in (
-        ("serial", ["--serial", "--no-shard"]),
+        ("serial", ["--serial"]),
         (f"jobs{jobs}", ["--jobs", str(jobs)]),
     ):
         cmd = [
@@ -201,7 +202,7 @@ def measure(args) -> dict:
         payload["cold_suite_default_events"] = {
             "pre_bulk_wall_s": PRE_BULK_SUITE_DEFAULT_EVENTS_WALL_S,
         }
-        payload["fig12"] = bench_fig12_sharding(args.jobs)
+        payload["fig12"] = bench_fig12_jobs(args.jobs)
     return payload
 
 

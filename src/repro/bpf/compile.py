@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import marshal
-import os
 import sys
 import types
 from pathlib import Path
@@ -87,7 +86,7 @@ from repro.bpf.insn import (
 from repro.bpf.interpreter import ExecResult
 from repro.bpf.seccomp_data import SeccompData
 from repro.bpf.verifier import verify
-from repro.common import storage, telemetry
+from repro.common import knobs, storage, telemetry
 from repro.common.errors import BpfRuntimeError
 from repro.syscalls.abi import AUDIT_ARCH_X86_64
 
@@ -98,7 +97,7 @@ COMPILER_VERSION = 1
 
 #: Environment variable: set to ``0``/``off`` to fall back to the
 #: interpreter (decision memoization stays on).
-FASTPATH_ENV = "REPRO_FASTPATH"
+FASTPATH_ENV = knobs.FASTPATH.name
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -121,7 +120,7 @@ _ST_SIZE = 20
 
 def fastpath_enabled() -> bool:
     """True unless ``REPRO_FASTPATH`` disables the code generator."""
-    return os.environ.get(FASTPATH_ENV, "1").lower() not in ("0", "off", "false", "no")
+    return knobs.FASTPATH.enabled()
 
 
 def words_of(data: SeccompData) -> Tuple[int, ...]:

@@ -85,16 +85,16 @@ cycles (the same pattern as ``repro.common.bulk``).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.common import knobs
 from repro.common.memo import memo_insert
 
 #: Environment variable: set to ``0``/``off`` to disable the analytic
 #: backend (every run falls back to the RLE bulk kernel, or per-event
 #: under ``REPRO_BULK=0``).
-ANALYTIC_ENV = "REPRO_ANALYTIC"
+ANALYTIC_ENV = knobs.ANALYTIC.name
 
 #: Version of the analytic backend's numerical contract.  Bumped when
 #: the closed forms, the sampling plan, or the scaling arithmetic
@@ -148,16 +148,17 @@ HW_ERROR_FLOOR = 0.02
 def analytic_enabled() -> bool:
     """True unless ``REPRO_ANALYTIC`` disables the analytic backend.
 
-    >>> os.environ.pop("REPRO_ANALYTIC", None) and None
+    >>> import os
+    >>> os.environ.pop(ANALYTIC_ENV, None) and None
     >>> analytic_enabled()
     True
-    >>> os.environ["REPRO_ANALYTIC"] = "0"
+    >>> os.environ[ANALYTIC_ENV] = "0"
     >>> analytic_enabled()
     False
-    >>> os.environ.pop("REPRO_ANALYTIC")
+    >>> os.environ.pop(ANALYTIC_ENV)
     '0'
     """
-    return os.environ.get(ANALYTIC_ENV, "1").lower() not in ("0", "off", "false", "no")
+    return knobs.ANALYTIC.enabled()
 
 
 def resolve_backend(override: Optional[str] = None) -> str:

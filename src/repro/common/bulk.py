@@ -15,12 +15,12 @@ pattern as ``repro.bpf.compile.fastpath_enabled``).
 
 from __future__ import annotations
 
-import os
+from repro.common import knobs
 
 #: Environment variable: set to ``0``/``off`` to disable the bulk
 #: fast path (run coalescing still happens; every run is re-expanded
 #: into per-event checks).
-BULK_ENV = "REPRO_BULK"
+BULK_ENV = knobs.BULK.name
 
 
 def bulk_enabled() -> bool:
@@ -29,19 +29,20 @@ def bulk_enabled() -> bool:
     Unset, or any value other than ``0``/``off``/``false``/``no``
     (case-insensitive), leaves the fast path on:
 
-    >>> os.environ.pop("REPRO_BULK", None) and None
+    >>> import os
+    >>> os.environ.pop(BULK_ENV, None) and None
     >>> bulk_enabled()
     True
-    >>> os.environ["REPRO_BULK"] = "0"
+    >>> os.environ[BULK_ENV] = "0"
     >>> bulk_enabled()
     False
-    >>> os.environ["REPRO_BULK"] = "off"
+    >>> os.environ[BULK_ENV] = "off"
     >>> bulk_enabled()
     False
-    >>> os.environ["REPRO_BULK"] = "1"
+    >>> os.environ[BULK_ENV] = "1"
     >>> bulk_enabled()
     True
-    >>> os.environ.pop("REPRO_BULK")
+    >>> os.environ.pop(BULK_ENV)
     '1'
     """
-    return os.environ.get(BULK_ENV, "1").lower() not in ("0", "off", "false", "no")
+    return knobs.BULK.enabled()

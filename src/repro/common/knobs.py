@@ -1,0 +1,93 @@
+"""Every ``REPRO_*`` environment switch, declared once.
+
+Each :class:`Knob` names one environment variable, the value it takes
+when unset, and its *effect* — which identities it must join:
+
+* :data:`COMPUTE` — changes what a simulation computes or records
+  (kernel tier, BPF fast path, ledger extras).  Folded into every
+  stage digest, the per-context evaluation memo key, the warm pool's
+  identity and the service's request digest;
+* :data:`STORAGE` — changes where results persist or what may be
+  served from persistent storage.  Joins the evaluation memo key, the
+  pool identity and the request digest, but not stage digests (a stage
+  payload is the same wherever it is stored);
+* :data:`PLACEMENT` — changes only where work runs, never a result.
+  Joins no key.
+
+Readers consult ``os.environ`` on every call, so a switch flipped
+mid-process takes effect at once.  A new switch is one more entry in
+:data:`KNOBS`; no other module reads a ``REPRO_*`` variable.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from typing import Tuple
+
+COMPUTE = "compute"
+STORAGE = "storage"
+PLACEMENT = "placement"
+
+#: Values that turn an on/off switch off (case-insensitive).
+_OFF = ("0", "off", "false", "no")
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One environment switch: its name, unset value and effect."""
+
+    name: str
+    default: str
+    effect: str
+
+    def value(self) -> str:
+        """The raw setting, :attr:`default` when unset."""
+        return os.environ.get(self.name, self.default)
+
+    def enabled(self) -> bool:
+        """On/off reading: off for ``0``/``off``/``false``/``no``
+        (case-insensitive), on for anything else, unset included when
+        the default is on.
+
+        >>> knob = Knob("EXAMPLE_SWITCH", "1", PLACEMENT)
+        >>> knob.enabled()
+        True
+        >>> os.environ["EXAMPLE_SWITCH"] = "Off"
+        >>> knob.enabled()
+        False
+        >>> os.environ.pop("EXAMPLE_SWITCH")
+        'Off'
+        """
+        return self.value().lower() not in _OFF
+
+
+BULK = Knob("REPRO_BULK", "1", COMPUTE)
+FASTPATH = Knob("REPRO_FASTPATH", "1", COMPUTE)
+ANALYTIC = Knob("REPRO_ANALYTIC", "1", COMPUTE)
+LEDGER = Knob("REPRO_LEDGER", "1", COMPUTE)
+LEDGER_AUDIT = Knob("REPRO_LEDGER_AUDIT", "1", COMPUTE)
+CONTEXT_CACHE = Knob("REPRO_CONTEXT_CACHE", "1", STORAGE)
+#: Read literally: any non-empty value disables every on-disk cache.
+CACHE_DISABLE = Knob("REPRO_CACHE_DISABLE", "", STORAGE)
+#: Read literally: the cache directory; empty means the default.
+CACHE_DIR = Knob("REPRO_CACHE_DIR", "", STORAGE)
+WARM_POOL = Knob("REPRO_WARM_POOL", "1", PLACEMENT)
+
+KNOBS: Tuple[Knob, ...] = (
+    BULK,
+    FASTPATH,
+    ANALYTIC,
+    LEDGER,
+    LEDGER_AUDIT,
+    CONTEXT_CACHE,
+    CACHE_DISABLE,
+    CACHE_DIR,
+    WARM_POOL,
+)
+
+
+def settings(*effects: str) -> Tuple[Tuple[str, str], ...]:
+    """``(name, value)`` of every knob whose effect is in *effects*, in
+    declaration order — the form the digests and memo keys fold in."""
+    return tuple((knob.name, knob.value()) for knob in KNOBS if knob.effect in effects)

@@ -31,13 +31,13 @@ Environment switches:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.common import knobs
 from repro.common.errors import ReproError
 
-LEDGER_ENV = "REPRO_LEDGER"
-AUDIT_ENV = "REPRO_LEDGER_AUDIT"
+LEDGER_ENV = knobs.LEDGER.name
+AUDIT_ENV = knobs.LEDGER_AUDIT.name
 
 #: Canonical flow-tag taxonomy (the ledger keys).  Hardware Draco's
 #: six Table I flows plus its two off-lattice paths, software Draco's
@@ -90,14 +90,12 @@ class ConservationError(ReproError):
 
 def enabled() -> bool:
     """True unless ``REPRO_LEDGER`` disables the observability extras."""
-    return os.environ.get(LEDGER_ENV, "1").lower() not in ("0", "off", "false", "no")
+    return knobs.LEDGER.enabled()
 
 
 def audits_enabled() -> bool:
     """True unless ``REPRO_LEDGER_AUDIT`` disables conservation audits."""
-    if not enabled():
-        return False
-    return os.environ.get(AUDIT_ENV, "1").lower() not in ("0", "off", "false", "no")
+    return enabled() and knobs.LEDGER_AUDIT.enabled()
 
 
 class FlowLedger:

@@ -17,31 +17,19 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Iterator, Optional, Tuple
 
-#: Environment variable overriding the cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+from repro.common import knobs
 
-#: Environment variable disabling the cache entirely (any non-empty value).
-CACHE_DISABLE_ENV = "REPRO_CACHE_DISABLE"
-
-#: Kill switch for the persistent context cache (traces, bundles,
-#: filter sweeps, compiled-filter code objects).  ``0``/``off``/
-#: ``false``/``no`` disables it; the result and calibration tiers are
-#: unaffected.
-CONTEXT_CACHE_ENV = "REPRO_CONTEXT_CACHE"
-
-#: Kill switch for the stage-graph orchestrator
-#: (:mod:`repro.experiments.stages`).  ``0``/``off``/``false``/``no``
-#: falls back to the flat per-experiment engine, whose output is
-#: byte-identical by differential test.
-STAGE_GRAPH_ENV = "REPRO_STAGE_GRAPH"
-
-def _truthy(name: str) -> bool:
-    return os.environ.get(name, "1").lower() not in ("0", "off", "false", "no")
+#: Environment variables: cache directory, disable-everything flag and
+#: the context-cache kill switch (declared in :mod:`repro.common.knobs`).
+CACHE_DIR_ENV = knobs.CACHE_DIR.name
+CACHE_DISABLE_ENV = knobs.CACHE_DISABLE.name
+CONTEXT_CACHE_ENV = knobs.CONTEXT_CACHE.name
 
 
 #: Context-local overrides for the cache directory and disable flag.
@@ -97,7 +85,7 @@ def cache_enabled() -> bool:
     override = _CACHE_DISABLE_OVERRIDE.get()
     if override is not None:
         return not override
-    return not os.environ.get(CACHE_DISABLE_ENV)
+    return not knobs.CACHE_DISABLE.value()
 
 
 def context_cache_enabled() -> bool:
@@ -109,18 +97,7 @@ def context_cache_enabled() -> bool:
     """
     if not cache_enabled():
         return False
-    return _truthy(CONTEXT_CACHE_ENV)
-
-
-def stage_graph_enabled() -> bool:
-    """True when the stage-graph orchestrator is active (the default).
-
-    Unlike the context cache this does not require the disk cache: the
-    scheduler passes stage payloads through the parent process, so the
-    graph (and its cross-experiment dedup) still works under
-    ``--no-cache`` — only the persistent ``stages/`` tier is skipped.
-    """
-    return _truthy(STAGE_GRAPH_ENV)
+    return knobs.CONTEXT_CACHE.enabled()
 
 
 def cache_root() -> Path:
@@ -132,24 +109,32 @@ def cache_root() -> Path:
     local = _CACHE_DIR_OVERRIDE.get()
     if local:
         return Path(local)
-    override = os.environ.get(CACHE_DIR_ENV)
+    override = knobs.CACHE_DIR.value()
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro-draco"
 
 
 def atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """Write *payload* to *path* through a temp file unique to this
+    call, so concurrent writers (threads or processes) never share one
+    and readers only ever see a complete entry."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    atomic_write_bytes(path, text.encode())
 
 
 def read_json(path: Path) -> Optional[Any]:

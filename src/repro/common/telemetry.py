@@ -229,7 +229,7 @@ def record_fleet(policy: str, counters: Mapping[str, float]) -> None:
 
 
 def merge_simulations(parts: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Combine per-shard simulation snapshots into one experiment-level
+    """Combine per-stage simulation snapshots into one experiment-level
     snapshot: numeric leaves are summed recursively (matching how the
     counters would have accumulated in a single process) and the
     derived ``mean_run_length`` is recomputed from the merged totals."""
@@ -281,9 +281,8 @@ class ExperimentRecord:
     status: str = "ok"  # "ok" | "failed"
     cache: str = CACHE_OFF
     wall_time_s: float = 0.0
-    #: Total compute time attributed to the experiment.  Differs from
-    #: ``wall_time_s`` when work ran concurrently: a shard merge
-    #: reports the *max* shard time as wall time and the sum here.
+    #: Total compute time attributed to the experiment: the summed
+    #: time of the stages it executed.
     cpu_time_s: float = 0.0
     params_digest: str = ""
     error: str = ""
@@ -392,7 +391,7 @@ class RunReport:
 
     def stage_counters(self) -> Dict[str, int]:
         """Stage-graph hit/exec/dedup/store totals summed across records
-        (empty when the run used the flat engine)."""
+        (empty for a report with no stage telemetry)."""
         merged: Dict[str, int] = {}
         for record in self.records:
             block = record.simulation.get("stages", {})
@@ -630,10 +629,7 @@ class RunReport:
         """
         detail = self.stage_detail()
         if not detail:
-            return (
-                "== stages\n(no stage telemetry recorded — run with "
-                "REPRO_STAGE_GRAPH=1, the default)"
-            )
+            return "== stages\n(no stage telemetry recorded)"
         by_kind: Dict[str, Dict[str, int]] = {}
         for row in detail:
             bucket = by_kind.setdefault(row["kind"], {})
@@ -653,7 +649,7 @@ class RunReport:
                 )
             )
         widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = ["== stages (REPRO_STAGE_GRAPH)"]
+        lines = ["== stages (stage graph)"]
         for index, row in enumerate(rows):
             lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
             if index == 0:

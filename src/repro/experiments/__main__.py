@@ -49,16 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs.add_argument(
         "--serial", action="store_true", help="force sequential execution"
     )
-    parser.add_argument(
-        "--no-shard", action="store_true",
-        help="do not split shardable experiments (fig11/fig12/fig13) into "
-        "per-workload subtasks under --jobs (flat-engine path only)",
-    )
-    parser.add_argument(
-        "--no-stage-graph", action="store_true",
-        help="run the flat per-experiment engine instead of the stage-graph "
-        "orchestrator (equivalent to REPRO_STAGE_GRAPH=0)",
-    )
     cache_group = parser.add_mutually_exclusive_group()
     cache_group.add_argument(
         "--no-cache", action="store_true",
@@ -170,27 +160,14 @@ def main(argv=None) -> int:
     else:
         cache_mode = engine.CACHE_ON
 
-    import os
-
-    saved_stage_graph = os.environ.get(result_cache.STAGE_GRAPH_ENV)
-    if args.no_stage_graph:
-        os.environ[result_cache.STAGE_GRAPH_ENV] = "0"
-    try:
-        run = engine.run_suite(
-            args.experiments or None,
-            events=args.events,
-            seed=args.seed,
-            jobs=1 if args.serial else max(args.jobs, 1),
-            cache_mode=cache_mode,
-            cache_dir=args.cache_dir,
-            shard=not args.no_shard,
-        )
-    finally:
-        if args.no_stage_graph:
-            if saved_stage_graph is None:
-                os.environ.pop(result_cache.STAGE_GRAPH_ENV, None)
-            else:
-                os.environ[result_cache.STAGE_GRAPH_ENV] = saved_stage_graph
+    run = engine.run_suite(
+        args.experiments or None,
+        events=args.events,
+        seed=args.seed,
+        jobs=1 if args.serial else max(args.jobs, 1),
+        cache_mode=cache_mode,
+        cache_dir=args.cache_dir,
+    )
 
     markdown_parts = []
     for outcome in run.outcomes:

@@ -34,8 +34,8 @@ payloads of the stage-graph orchestrator
 full evaluation ``RunResult`` JSON — keyed by content digests that
 fold each stage's parameters, its upstream stage digests, the code
 fingerprint, and ``STAGE_FORMAT_VERSION``.  Terminal analysis results
-do *not* live here: they store in ``results/`` under the flat
-per-experiment digest, so both engine paths share warm hits.
+do *not* live here: they store in ``results/`` under the
+per-experiment digest, so a warm re-run is one whole-result hit.
 
 Layout (under :func:`cache_root`, default ``~/.cache/repro-draco`` or
 ``$REPRO_CACHE_DIR``)::
@@ -72,11 +72,9 @@ from repro.common.storage import (
     CACHE_DIR_ENV,
     CACHE_DISABLE_ENV,
     CONTEXT_CACHE_ENV,
-    STAGE_GRAPH_ENV,
     cache_enabled,
     cache_root,
     context_cache_enabled,
-    stage_graph_enabled,
 )
 from repro.common.storage import atomic_write_text as _atomic_write
 from repro.common.storage import read_json as _read_json
@@ -93,7 +91,6 @@ __all__ = [
     "COMPILER_VERSION",
     "SIM_KERNEL_VERSION",
     "STAGE_FORMAT_VERSION",
-    "STAGE_GRAPH_ENV",
     "ResultCache",
     "cache_enabled",
     "cache_root",
@@ -102,7 +99,6 @@ __all__ = [
     "context_digest",
     "params_digest",
     "spec_payload",
-    "stage_graph_enabled",
 ]
 
 #: Version of the context-cache serialisation contract.  Bumped when
@@ -178,8 +174,7 @@ class ResultCache:
 
     def has_result(self, experiment_id: str, digest: str) -> bool:
         """Cheap stat-based existence probe, for callers that only need
-        to know *whether* a result is cached (the engine's pre-shard
-        check) without paying the JSON parse + deserialize of
+        to know *whether* a result is cached without paying the JSON parse + deserialize of
         :meth:`load_result`.  A torn entry can stat as present and
         still read as a miss later — the existence answer is advisory,
         never load-bearing."""

@@ -54,9 +54,9 @@ def resolve_params(
     count when no explicit ``invocations`` override is given, so
     ``--events 2000`` smoke runs stay fast; the tenant population
     scales with it (≈1 tenant per 120 invocations, capped at the
-    default 1000).  Both the flat ``run()`` and the stage planner
-    derive parameters through this one function, which is what keeps
-    staged and flat results byte-identical.
+    default 1000).  Both :func:`run` and the stage planner derive
+    parameters through this one function, which is what keeps staged
+    results byte-identical to a direct ``run()``.
     """
     if invocations is None:
         invocations = DEFAULT_INVOCATIONS if events is None else int(events)
@@ -91,8 +91,9 @@ def seed_eval(dep_params: Mapping[str, Any], payload: Dict[str, Any]) -> None:
 def eval_payload(params: FleetParams, policy: str) -> Dict[str, Any]:
     """Compute one policy's
     :meth:`~repro.kernel.fleet.FleetResult.to_json_dict` (always runs
-    the simulation — the ``fleet-eval`` stage executor, and the flat
-    path's fallback; staged seeds are consumed by :func:`run` only)."""
+    the simulation — the ``fleet-eval`` stage executor, and the
+    fallback of a direct :func:`run`; staged seeds are consumed by
+    :func:`run` only)."""
     shared_key = (params.tenants, params.invocations, params.seed)
     shared = _SHARED.get(shared_key)
     if shared is None:
@@ -119,7 +120,7 @@ def run(
     for policy in POLICIES:
         # Stage-graph analysis runs consume the staged eval payloads —
         # once; telemetry was recorded when the eval stages executed.
-        # Flat runs (and any later run of the same params in this
+        # Direct runs (and any later run of the same params in this
         # process) compute them here.
         payload = _SEEDED.pop(_eval_key(params, policy), None)
         if payload is None:

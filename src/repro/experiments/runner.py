@@ -15,12 +15,11 @@ Draco, hardware Draco) is emergent.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from repro.common import storage, telemetry
+from repro.common import knobs, storage, telemetry
 from repro.common.analytic import analytic_enabled
 from repro.common.errors import ConfigError
 from repro.common.memo import memo_insert
@@ -118,30 +117,19 @@ def _bundle_for(spec: WorkloadSpec, seed: int) -> ProfileBundle:
     return bundle
 
 
-#: Runtime knobs that change what a simulation computes, records, or is
-#: allowed to serve from persistent storage.  They key the per-context
-#: evaluation memo, so toggling any of them mid-process (the
-#: differential tests flip ``REPRO_BULK`` and ``REPRO_CONTEXT_CACHE``)
-#: re-runs instead of serving a result the new setting forbids.
-_RUNTIME_ENV_KNOBS = (
-    "REPRO_BULK",
-    "REPRO_FASTPATH",
-    "REPRO_LEDGER",
-    "REPRO_LEDGER_AUDIT",
-    "REPRO_ANALYTIC",
-    "REPRO_CONTEXT_CACHE",
-    "REPRO_CACHE_DISABLE",
-)
-
-
 def _runtime_env_key() -> Tuple[object, ...]:
-    environ = os.environ
-    env = tuple(environ.get(name) for name in _RUNTIME_ENV_KNOBS)
-    # Context-local cache overrides (the engine/service replacement for
-    # mutating REPRO_CACHE_DIR / REPRO_CACHE_DISABLE in os.environ)
-    # change what evaluate() may serve from persistent storage exactly
-    # like their environment counterparts, so they key the memo too.
-    return env + storage.cache_override_key()
+    """Key of the per-context evaluation memo: every switch that changes
+    what a simulation computes or may serve from persistent storage
+    (:mod:`repro.common.knobs`), so toggling one mid-process (the
+    differential tests flip ``REPRO_BULK`` and ``REPRO_CONTEXT_CACHE``)
+    re-runs instead of serving a result the new setting forbids.
+
+    Context-local cache overrides (the engine/service replacement for
+    mutating the cache environment variables) change what evaluate()
+    may serve exactly like their environment counterparts, so they key
+    the memo too.
+    """
+    return knobs.settings(knobs.COMPUTE, knobs.STORAGE) + storage.cache_override_key()
 
 
 #: Seccomp regimes that can be served by replaying a shared filter
@@ -302,8 +290,8 @@ class WorkloadContext:
         computes per-(workload, regime) evaluations as standalone
         stages, then replays each experiment's analysis code unchanged;
         seeding the memo makes ``ctx.evaluate(regime)`` serve the staged
-        result, so row assembly is byte-identical to the flat engine.
-        Keyed on the *current* runtime env knobs, same as
+        result, so row assembly is byte-identical to a direct ``run()``.
+        Keyed on the *current* runtime switches, same as
         :meth:`evaluate`.
         """
         self._eval_memo[(regime_name, _runtime_env_key())] = result

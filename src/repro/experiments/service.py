@@ -13,9 +13,11 @@ Three layers keep repeat traffic off the pool entirely:
 1. **request memo** — every run request is content-addressed
    (parameters + source fingerprint + behavioural env knobs); an
    identical request replays the memoized response without touching
-   the engine.  Because the digest pins the code and knobs, the
-   replayed bytes are exactly what a fresh ``--refresh`` recompute
-   would produce (the service bench asserts this);
+   the engine, and a hit makes its entry the most recently used, so
+   one-off requests evict cold entries before hot repeats.  Because
+   the digest pins the code and knobs, the replayed bytes are exactly
+   what a fresh ``--refresh`` recompute would produce (the service
+   bench asserts this);
 2. **single-flight coalescing** — identical requests arriving while
    the first is still computing wait for that flight and share its
    response instead of duplicating work;
@@ -48,11 +50,12 @@ import socketserver
 import threading
 import time
 import traceback
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.common import knobs, telemetry
 from repro.common import stats as common_stats
-from repro.common import telemetry
 from repro.experiments import cache as result_cache
 from repro.experiments import engine
 from repro.experiments import pool as warm_pool
@@ -100,8 +103,8 @@ class ExperimentService:
         self.memo_limit = max(0, int(memo_limit))
         stage_graph.configure_stage_memory(stage_memory)
         self._lock = threading.Lock()
-        self._memo: "Dict[str, Dict[str, Any]]" = {}
-        self._memo_order: List[str] = []
+        #: Request memo, least recently used first.
+        self._memo: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._flights: Dict[str, _Flight] = {}
         self._latencies_ms: List[float] = []
         self._counts = {"requests": 0, "errors": 0}
@@ -116,7 +119,7 @@ class ExperimentService:
         """Content address of a run request's *answer*.
 
         Folds the normalized request parameters, the source-tree
-        fingerprint, and the behavioural environment knobs the worker
+        fingerprint, and the compute and storage switches the worker
         pool is keyed on — the same invariants that make disk cache
         entries servable make a memoized response servable.
         """
@@ -124,9 +127,7 @@ class ExperimentService:
             {
                 "service_request": params,
                 "code": result_cache.code_fingerprint(),
-                "env": {
-                    name: os.environ.get(name) for name in warm_pool.POOL_ENV_KNOBS
-                },
+                "env": dict(knobs.settings(knobs.COMPUTE, knobs.STORAGE)),
             }
         )
 
@@ -188,6 +189,8 @@ class ExperimentService:
         if use_memo:
             with self._lock:
                 memoized = self._memo.get(digest)
+                if memoized is not None:
+                    self._memo.move_to_end(digest)
             if memoized is not None:
                 return dict(memoized, served="memo")
 
@@ -249,18 +252,16 @@ class ExperimentService:
 
     def _memo_store(self, digest: str, payload: Dict[str, Any]) -> None:
         with self._lock:
-            if digest not in self._memo:
-                self._memo_order.append(digest)
             self._memo[digest] = payload
-            while len(self._memo_order) > self.memo_limit:
-                self._memo.pop(self._memo_order.pop(0), None)
+            self._memo.move_to_end(digest)
+            while len(self._memo) > self.memo_limit:
+                self._memo.popitem(last=False)
 
     def invalidate(self) -> None:
         """Drop every in-process serving layer (memo, stage memory,
         worker pool).  The disk cache is untouched."""
         with self._lock:
             self._memo.clear()
-            del self._memo_order[:]
         stage_graph.reset_stage_memory()
         warm_pool.shutdown(wait=False)
 

@@ -1,22 +1,22 @@
 """Stage-graph orchestrator: experiments as DAGs of cacheable stages.
 
-The flat engine treats each registry entry as one opaque task, so a
-change that only affects an experiment's *analysis* still re-runs its
-simulations, and two experiments that consume the same evaluation
-(fig13 and the flow-mix extension both read ``draco-hw-complete``)
-each recompute it.  This module decomposes the catalog-loop
-experiments into a DAG of **stages**::
+The suite's only execution path.  Treating each registry entry as one
+opaque task would re-run its simulations when only its *analysis*
+changes, and two experiments that consume the same evaluation (fig13
+and the flow-mix extension both read ``draco-hw-complete``) would each
+recompute it.  This module decomposes the catalog-loop experiments
+into a DAG of **stages**::
 
     trace ──► calibration ──► eval (one per workload × regime) ──► analysis
 
 Each stage is content-addressed: its digest folds the stage kind and
 parameters, the digests of its upstream stages, the source
 fingerprint, the compiler / simulation-kernel / analytic format
-versions, ``STAGE_FORMAT_VERSION``, and the runtime knobs that change
-what a stage records.  Identical stages requested by several
-experiments execute **once** per suite run (and dedupe on disk); a
-parameter change invalidates exactly the affected stages and their
-descendants.
+versions, ``STAGE_FORMAT_VERSION``, and the switches that change what
+a stage computes (:data:`repro.common.knobs.COMPUTE`).  Identical
+stages requested by several experiments execute **once** per suite
+run (and dedupe on disk); a parameter change invalidates exactly the
+affected stages and their descendants.
 
 Stage payloads are plain JSON: ``trace`` and ``calibration`` stages
 return tiny manifests (their real output lands in the persistent
@@ -26,29 +26,27 @@ payload, and terminal stages return the experiment's
 :class:`~repro.experiments.results.ExperimentResult`.  Intermediate
 payloads persist in the ``stages/<kind>/<digest>.json`` tier of
 :class:`repro.experiments.cache.ResultCache`; terminal payloads are
-stored in the existing ``results/`` tier under the flat per-experiment
-digest, so warm runs, ``summary`` and every existing cache tool keep
-working unchanged.
+stored in the ``results/`` tier under the per-experiment result
+digest, so warm runs, ``summary`` and every cache tool read them
+directly.
 
-Byte-identity with the flat engine is structural, not incidental: the
-analysis stage rebuilds each workload context and **seeds** the staged
-evaluations into its memo
+Byte-identity with a direct ``run()`` is structural, not incidental:
+the analysis stage rebuilds each workload context and **seeds** the
+staged evaluations into its memo
 (:meth:`~repro.experiments.runner.WorkloadContext.seed_evaluation`),
 then calls the experiment's unmodified ``run()`` — the same row
-assembly, rounding and note text as a flat run.  A differential test
-asserts the full-registry markdown matches under
-``REPRO_STAGE_GRAPH=0`` and ``=1``.
+assembly, rounding and note text.  A differential test asserts the
+full-registry markdown matches each entry's ``run()`` called
+serially with every cache off.
 
-``--refresh`` is stage-scoped here: terminal stages always recompute
-(and restore the ``results/`` entry) while intermediate stages are
-served from the ``stages/`` tier, so a warm refresh re-renders every
-table without re-simulating.  ``REPRO_STAGE_GRAPH=0`` falls back to
-the flat engine.
+``--refresh`` is stage-scoped: terminal stages always recompute (and
+restore the ``results/`` entry) while intermediate stages are served
+from the ``stages/`` tier, so a warm refresh re-renders every table
+without re-simulating.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import traceback
@@ -57,7 +55,7 @@ from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common import storage, telemetry
+from repro.common import knobs, storage, telemetry
 from repro.common.analytic import ANALYTIC_VERSION, analytic_enabled
 from repro.common.rng import DEFAULT_SEED
 from repro.cpu.params import DEFAULT_SW_COSTS
@@ -69,11 +67,11 @@ from repro.experiments.runner import DEFAULT_EVENTS, get_context
 from repro.kernel.simulator import RunResult
 from repro.workloads.catalog import CATALOG
 
-#: Cache modes, string-compatible with :mod:`repro.experiments.engine`
-#: (not imported from there: the engine imports this module).
+#: Cache behaviour modes for one suite run (re-exported by
+#: :mod:`repro.experiments.engine`).
 CACHE_ON = "on"
 CACHE_OFF = "off"
-CACHE_REFRESH = "refresh"
+CACHE_REFRESH = "refresh"  # recompute terminals, then repopulate
 
 #: Stage kinds, in pipeline order.
 KIND_TRACE = "trace"
@@ -81,34 +79,15 @@ KIND_CALIBRATION = "calibration"
 KIND_EVAL = "eval"
 KIND_ANALYSIS = "analysis"
 KIND_EXPERIMENT = "experiment"  # monolithic fallback: the whole run()
-#: Fleet-serving stage kinds (see :class:`FleetPlan`): load and
-#: calibration are provenance manifests (their outputs are cheap, pure
-#: functions of the stage params that downstream stages recompute
-#: in-process), one ``fleet-eval`` per dispatch policy carries the full
+#: Fleet-serving stage kind (see :class:`FleetPlan`): one per dispatch
+#: policy, carrying the full
 #: :meth:`~repro.kernel.fleet.FleetResult.to_json_dict` payload.
-KIND_FLEET_LOAD = "fleet-load"
-KIND_FLEET_CALIBRATION = "fleet-calibration"
 KIND_FLEET_EVAL = "fleet-eval"
 
 #: Kinds persisted in the ``stages/`` tier.  Terminal kinds
 #: (analysis / experiment) store their ExperimentResult in the
-#: ``results/`` tier under the flat per-experiment digest instead.
-_INTERMEDIATE_KINDS = frozenset(
-    {KIND_TRACE, KIND_CALIBRATION, KIND_EVAL,
-     KIND_FLEET_LOAD, KIND_FLEET_CALIBRATION, KIND_FLEET_EVAL}
-)
-
-#: Runtime knobs folded into every stage digest.  These change what a
-#: stage payload *contains* (per-flow ledgers, structure counters) or
-#: which execution tier produced it, so a payload computed under one
-#: setting must never be served under another — the same contract as
-#: the per-context evaluation memo key in :mod:`repro.experiments.runner`.
-_STAGE_ENV_KNOBS = (
-    "REPRO_BULK",
-    "REPRO_FASTPATH",
-    "REPRO_LEDGER",
-    "REPRO_LEDGER_AUDIT",
-)
+#: ``results/`` tier under the per-experiment result digest instead.
+_INTERMEDIATE_KINDS = frozenset({KIND_TRACE, KIND_CALIBRATION, KIND_EVAL, KIND_FLEET_EVAL})
 
 #: run() keyword arguments the DAG planner understands.  Anything else
 #: (unknown overrides) falls back to a monolithic experiment stage.
@@ -135,11 +114,11 @@ class EvalPlan:
 class FleetPlan:
     """Declarative stage plan for the fleet-serving experiment.
 
-    Expands to load + calibration provenance stages shared by one
-    ``fleet-eval`` stage per dispatch policy, feeding the terminal
-    analysis.  Parameter resolution is delegated to
+    Expands to one ``fleet-eval`` stage per dispatch policy feeding the
+    terminal analysis.  Parameter resolution is delegated to
     :func:`repro.experiments.fleet_serving.resolve_params` so staged
-    and flat runs derive identical :class:`~repro.kernel.fleet.FleetParams`.
+    runs and a direct ``run()`` derive identical
+    :class:`~repro.kernel.fleet.FleetParams`.
     """
 
     policies: Tuple[str, ...]
@@ -166,7 +145,7 @@ class ExperimentPlan:
 
     experiment_id: str
     run_kwargs: Dict[str, Any]
-    flat_digest: str  # the flat engine's result_key, for the results/ tier
+    result_digest: str  # ResultCache.result_key, for the results/ tier
     stages: Dict[str, Stage]  # insertion order is topological
     terminal: str
 
@@ -181,25 +160,59 @@ def _stage_digest(kind: str, params: Mapping[str, Any], deps: Sequence[str]) -> 
         "bpf_compiler": result_cache.COMPILER_VERSION,
         "sim_kernel": result_cache.SIM_KERNEL_VERSION,
         "analytic": ANALYTIC_VERSION if analytic_enabled() else 0,
-        "env": {name: os.environ.get(name) for name in _STAGE_ENV_KNOBS},
+        "env": dict(knobs.settings(knobs.COMPUTE)),
     }
     return result_cache.params_digest(payload)
+
+
+def _add_stage(
+    stages: Dict[str, Stage],
+    kind: str,
+    label: str,
+    params: Dict[str, Any],
+    deps: Tuple[str, ...] = (),
+) -> str:
+    """Insert one stage (first insertion wins) and return its key."""
+    key = _stage_digest(kind, params, deps)
+    stages.setdefault(key, Stage(key=key, kind=kind, label=label, params=params, deps=deps))
+    return key
+
+
+def _plan(
+    experiment_id: str,
+    run_kwargs: Mapping[str, Any],
+    result_digest: str,
+    stages: Dict[str, Stage],
+    kind: str,
+    label: str,
+    deps: Tuple[str, ...],
+) -> ExperimentPlan:
+    """Close *stages* with the terminal stage that runs ``run()``."""
+    params = {"experiment_id": experiment_id, "run_kwargs": dict(run_kwargs)}
+    terminal = _add_stage(stages, kind, label, params, deps)
+    return ExperimentPlan(
+        experiment_id=experiment_id,
+        run_kwargs=dict(run_kwargs),
+        result_digest=result_digest,
+        stages=stages,
+        terminal=terminal,
+    )
 
 
 def build_plan(
     experiment_id: str,
     plan: "EvalPlan | FleetPlan",
     run_kwargs: Mapping[str, Any],
-    flat_digest: str,
+    result_digest: str,
 ) -> Optional[ExperimentPlan]:
     """Expand a declarative :class:`EvalPlan` into a concrete DAG.
 
     Returns ``None`` when ``run_kwargs`` carries overrides the planner
     does not understand — the caller then falls back to a monolithic
-    experiment stage, which executes the exact flat-engine semantics.
+    experiment stage, which runs the whole ``run()`` as one stage.
     """
     if isinstance(plan, FleetPlan):
-        return _build_fleet_plan(experiment_id, plan, run_kwargs, flat_digest)
+        return _build_fleet_plan(experiment_id, plan, run_kwargs, result_digest)
     if not _PLANNABLE_KWARGS.issuperset(run_kwargs):
         return None
     names = tuple(run_kwargs.get("workloads") or tuple(CATALOG))
@@ -211,26 +224,20 @@ def build_plan(
     old_kernel = bool(run_kwargs.get("old_kernel", plan.old_kernel))
 
     stages: Dict[str, Stage] = {}
-
-    def add(kind: str, label: str, params: Dict[str, Any], deps: Tuple[str, ...] = ()) -> str:
-        key = _stage_digest(kind, params, deps)
-        stages.setdefault(
-            key, Stage(key=key, kind=kind, label=label, params=params, deps=deps)
-        )
-        return key
-
     eval_keys: List[str] = []
     for name in names:
         # Trace and calibration are cost-model independent (calibration
         # always solves W against the modern-kernel costs — see
         # runner.build_context), so modern and old-kernel experiments
         # share these stages; only evals key on ``old_kernel``.
-        trace_key = add(
+        trace_key = _add_stage(
+            stages,
             KIND_TRACE,
             f"trace:{name}",
             {"workload": name, "events": events, "seed": seed},
         )
-        calib_key = add(
+        calib_key = _add_stage(
+            stages,
             KIND_CALIBRATION,
             f"calibration:{name}",
             {"workload": name, "events": events, "seed": seed, "compiler": "binary_tree"},
@@ -238,7 +245,8 @@ def build_plan(
         )
         for regime in plan.regimes:
             eval_keys.append(
-                add(
+                _add_stage(
+                    stages,
                     KIND_EVAL,
                     f"eval:{name}:{regime}" + (":old-kernel" if old_kernel else ""),
                     {
@@ -251,18 +259,9 @@ def build_plan(
                     (trace_key, calib_key),
                 )
             )
-    terminal = add(
-        KIND_ANALYSIS,
-        f"analysis:{experiment_id}",
-        {"experiment_id": experiment_id, "run_kwargs": dict(run_kwargs)},
-        tuple(eval_keys),
-    )
-    return ExperimentPlan(
-        experiment_id=experiment_id,
-        run_kwargs=dict(run_kwargs),
-        flat_digest=flat_digest,
-        stages=stages,
-        terminal=terminal,
+    return _plan(
+        experiment_id, run_kwargs, result_digest, stages,
+        KIND_ANALYSIS, f"analysis:{experiment_id}", tuple(eval_keys),
     )
 
 
@@ -270,9 +269,9 @@ def _build_fleet_plan(
     experiment_id: str,
     plan: FleetPlan,
     run_kwargs: Mapping[str, Any],
-    flat_digest: str,
+    result_digest: str,
 ) -> Optional[ExperimentPlan]:
-    """Expand a :class:`FleetPlan` into load/calibration/eval stages."""
+    """Expand a :class:`FleetPlan` into per-policy eval stages."""
     if not _FLEET_PLANNABLE_KWARGS.issuperset(run_kwargs):
         return None
     from repro.experiments import fleet_serving
@@ -289,55 +288,25 @@ def _build_fleet_plan(
         "seed": params.seed,
     }
     stages: Dict[str, Stage] = {}
-
-    def add(kind: str, label: str, params: Dict[str, Any], deps: Tuple[str, ...] = ()) -> str:
-        key = _stage_digest(kind, params, deps)
-        stages.setdefault(
-            key, Stage(key=key, kind=kind, label=label, params=params, deps=deps)
-        )
-        return key
-
-    load_key = add(KIND_FLEET_LOAD, "fleet-load", {"fleet": fleet})
-    calib_key = add(KIND_FLEET_CALIBRATION, "fleet-calibration", {"fleet": fleet})
     eval_keys = tuple(
-        add(
-            KIND_FLEET_EVAL,
-            f"fleet-eval:{policy}",
-            {"fleet": fleet, "policy": policy},
-            (load_key, calib_key),
+        _add_stage(
+            stages, KIND_FLEET_EVAL, f"fleet-eval:{policy}", {"fleet": fleet, "policy": policy}
         )
         for policy in plan.policies
     )
-    terminal = add(
-        KIND_ANALYSIS,
-        f"analysis:{experiment_id}",
-        {"experiment_id": experiment_id, "run_kwargs": dict(run_kwargs)},
-        eval_keys,
-    )
-    return ExperimentPlan(
-        experiment_id=experiment_id,
-        run_kwargs=dict(run_kwargs),
-        flat_digest=flat_digest,
-        stages=stages,
-        terminal=terminal,
+    return _plan(
+        experiment_id, run_kwargs, result_digest, stages,
+        KIND_ANALYSIS, f"analysis:{experiment_id}", eval_keys,
     )
 
 
 def monolithic_plan(
-    experiment_id: str, run_kwargs: Mapping[str, Any], flat_digest: str
+    experiment_id: str, run_kwargs: Mapping[str, Any], result_digest: str
 ) -> ExperimentPlan:
     """Single-stage plan wrapping the whole ``run()`` (non-DAG experiments)."""
-    params = {"experiment_id": experiment_id, "run_kwargs": dict(run_kwargs)}
-    key = _stage_digest(KIND_EXPERIMENT, params, ())
-    stage = Stage(
-        key=key, kind=KIND_EXPERIMENT, label=f"run:{experiment_id}", params=params, deps=()
-    )
-    return ExperimentPlan(
-        experiment_id=experiment_id,
-        run_kwargs=dict(run_kwargs),
-        flat_digest=flat_digest,
-        stages={key: stage},
-        terminal=key,
+    return _plan(
+        experiment_id, run_kwargs, result_digest, {},
+        KIND_EXPERIMENT, f"run:{experiment_id}", (),
     )
 
 
@@ -451,28 +420,6 @@ def _run_fleet_params(params: Mapping[str, Any]):
     )
 
 
-def _run_fleet_load_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.kernel.fleet import generate_load
-
-    load = generate_load(_run_fleet_params(params))
-    # Provenance manifest only: the load is a pure function of the
-    # stage params, which the eval stages regenerate in-process.
-    return {
-        "invocations": len(load),
-        "last_arrival_ms": round(load[-1].arrival_ms, 3),
-    }
-
-
-def _run_fleet_calibration_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.kernel.fleet import calibrate_classes
-
-    classes = calibrate_classes(_run_fleet_params(params))
-    return {
-        "classes": len(classes),
-        "footprint_bytes": [c.footprint_bytes for c in classes],
-    }
-
-
 def _run_fleet_eval_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
     from repro.experiments import fleet_serving
 
@@ -523,13 +470,13 @@ def _execute_stage(
 
     ``cache_dir`` is the suite's resolved cache root, re-applied here
     because warm-pool workers outlive any single suite and must not
-    trust environment inherited at fork time (see
-    :func:`repro.experiments.engine._execute_one`).
+    trust environment inherited at fork time, and context-local
+    overrides do not cross the ``fork`` boundary.
 
     Returns a JSON/pickle-safe envelope; never raises.  Intermediate
     payloads are written to the ``stages/`` tier here (in the worker,
-    which already holds the payload); terminal payloads go to the flat
-    ``results/`` tier exactly like the flat engine's workers.
+    which already holds the payload); terminal payloads go to the
+    ``results/`` tier.
     """
     with storage.cache_overrides(
         cache_dir=cache_dir, disable=(cache_mode == CACHE_OFF)
@@ -557,10 +504,6 @@ def _execute_stage_inner(
             payload = _run_calibration_stage(params)
         elif kind == KIND_EVAL:
             payload = _run_eval_stage(params)
-        elif kind == KIND_FLEET_LOAD:
-            payload = _run_fleet_load_stage(params)
-        elif kind == KIND_FLEET_CALIBRATION:
-            payload = _run_fleet_calibration_stage(params)
         elif kind == KIND_FLEET_EVAL:
             payload = _run_fleet_eval_stage(params)
         elif kind == KIND_ANALYSIS:
@@ -602,9 +545,8 @@ def execute_suite(
     """Run ``[(experiment_id, run_kwargs), ...]`` through the stage graph.
 
     Returns one ``{"result", "record"}`` payload per task, in task
-    order — the same envelope the flat engine's workers produce, so
-    :func:`repro.experiments.engine.run_suite` assembles outcomes
-    identically on both paths.  Must be called with the cache
+    order, which :func:`repro.experiments.engine.run_suite` assembles
+    into outcomes.  Must be called with the cache
     overrides already applied (run_suite does this); ``cache_dir`` is
     the resolved root, forwarded to pool workers as a task argument.
     """
@@ -616,19 +558,19 @@ def execute_suite(
 
     for index, (experiment_id, run_kwargs) in enumerate(tasks):
         experiment = by_id(experiment_id)
-        flat_digest = store.result_key(experiment_id, run_kwargs)
+        result_digest = store.result_key(experiment_id, run_kwargs)
         if cache_mode == CACHE_ON:
             probe_started = time.perf_counter()
-            cached = store.load_result(experiment_id, flat_digest)
+            cached = store.load_result(experiment_id, result_digest)
             if cached is not None:
                 # Whole result cached: serve it without touching the
-                # subgraph, same as the flat engine's warm path.
+                # subgraph.
                 record = telemetry.ExperimentRecord(
                     experiment_id=experiment_id,
                     title=experiment.title,
                     cache=telemetry.CACHE_HIT,
                     wall_time_s=time.perf_counter() - probe_started,
-                    params_digest=flat_digest,
+                    params_digest=result_digest,
                     simulation=telemetry.SimulationCounters().as_dict(),
                 )
                 prebuilt[index] = {
@@ -638,9 +580,9 @@ def execute_suite(
                 continue
         plan = None
         if getattr(experiment, "stage_plan", None) is not None:
-            plan = build_plan(experiment_id, experiment.stage_plan, run_kwargs, flat_digest)
+            plan = build_plan(experiment_id, experiment.stage_plan, run_kwargs, result_digest)
         if plan is None:
-            plan = monolithic_plan(experiment_id, run_kwargs, flat_digest)
+            plan = monolithic_plan(experiment_id, run_kwargs, result_digest)
         plans.append((index, plan))
 
     # Union graph.  Stage insertion order is topological: a stage's
@@ -652,7 +594,7 @@ def execute_suite(
         for key, stage in plan.stages.items():
             stages.setdefault(key, stage)
             owner.setdefault(key, index)
-    terminal_digest = {plan.terminal: plan.flat_digest for _, plan in plans}
+    terminal_digest = {plan.terminal: plan.result_digest for _, plan in plans}
 
     payloads: Dict[str, Any] = {}
     status: Dict[str, str] = {}  # key -> "hit" | "exec"
@@ -829,7 +771,7 @@ def execute_suite(
             cache=suite_cache_status,
             wall_time_s=owned_elapsed,
             cpu_time_s=owned_elapsed,
-            params_digest=plan.flat_digest,
+            params_digest=plan.result_digest,
             error=error,
             simulation=simulation,
         )

@@ -15,7 +15,8 @@ import pytest
 
 @pytest.mark.parametrize(
     "module_name",
-    ["repro.common.analytic", "repro.common.bulk", "repro.common.memo"],
+    ["repro.common.analytic", "repro.common.bulk", "repro.common.knobs",
+     "repro.common.memo"],
 )
 def test_module_doctests(module_name):
     module = __import__(module_name, fromlist=["_"])

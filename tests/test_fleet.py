@@ -228,32 +228,30 @@ class TestTelemetry:
 
 
 class TestExperiment:
-    def test_flat_matches_staged_and_stages_dedupe(self, tmp_path, monkeypatch):
+    def test_flat_matches_staged_and_stages_dedupe(self, tmp_path):
+        """The staged suite (one ``fleet-eval`` per policy, then the
+        analysis) renders exactly what a direct ``run()`` renders."""
+        from repro.experiments import fleet_serving
         from repro.experiments.engine import run_suite
 
-        monkeypatch.setenv("REPRO_STAGE_GRAPH", "1")
         staged = run_suite(["fleet"], events=1200, cache_dir=str(tmp_path))
         record = staged.outcomes[0].record
         stages = record.simulation["stages"]
-        assert stages["counters"]["executed"] == 5
-        assert stages["counters"]["stored"] == 5
+        assert stages["counters"]["executed"] == 3
+        assert stages["counters"]["stored"] == 3
         kinds = {row["kind"] for row in stages["detail"]}
-        assert {"fleet-load", "fleet-calibration", "fleet-eval", "analysis"} <= kinds
+        assert kinds == {"fleet-eval", "analysis"}
 
         # Refresh: intermediates dedupe on disk, only analysis re-runs.
         refreshed = run_suite(
             ["fleet"], events=1200, cache_dir=str(tmp_path), cache_mode="refresh"
         )
         counters = refreshed.outcomes[0].record.simulation["stages"]["counters"]
-        assert counters["hit"] == 4
+        assert counters["hit"] == 2
         assert counters["executed"] == 1
 
-        monkeypatch.setenv("REPRO_STAGE_GRAPH", "0")
-        flat = run_suite(["fleet"], events=1200, cache_mode="off")
-        assert (
-            flat.results["fleet"].format_table()
-            == staged.results["fleet"].format_table()
-        )
+        direct = fleet_serving.run(events=1200)
+        assert direct.format_table() == staged.results["fleet"].format_table()
 
     def test_summary_renders_fleet_counters(self):
         from repro.experiments.engine import run_suite

@@ -1,0 +1,67 @@
+"""The switch registry: one declaration per ``REPRO_*`` switch, and
+each switch's effect decides which identities it joins."""
+
+import pytest
+
+from repro.common import knobs
+from repro.experiments import pool as warm_pool
+from repro.experiments import stages
+from repro.experiments.service import ExperimentService
+
+
+def _stage_digest():
+    return stages._stage_digest("eval", {"workload": "nginx"}, ())
+
+
+def _identities():
+    service = ExperimentService(jobs=1, stage_memory=0)
+    return (
+        _stage_digest(),
+        warm_pool.pool_key(2),
+        service.request_digest({"experiments": ["table2"]}),
+    )
+
+
+def test_names_are_unique_and_prefixed():
+    names = [knob.name for knob in knobs.KNOBS]
+    assert len(set(names)) == len(names) == 9
+    assert all(name.startswith("REPRO_") for name in names)
+    assert {knob.effect for knob in knobs.KNOBS} == {
+        knobs.COMPUTE, knobs.STORAGE, knobs.PLACEMENT
+    }
+
+
+@pytest.mark.parametrize("value, on", [("0", False), ("OFF", False), ("no", False),
+                                       ("1", True), ("yes", True)])
+def test_on_off_parsing(monkeypatch, value, on):
+    monkeypatch.setenv(knobs.BULK.name, value)
+    assert knobs.BULK.enabled() is on
+
+
+def test_unset_reads_as_default(monkeypatch):
+    monkeypatch.delenv(knobs.BULK.name, raising=False)
+    unset = _identities()
+    monkeypatch.setenv(knobs.BULK.name, knobs.BULK.default)
+    assert _identities() == unset
+
+
+def test_compute_switch_changes_every_identity(monkeypatch):
+    monkeypatch.delenv(knobs.FASTPATH.name, raising=False)
+    before = _identities()
+    monkeypatch.setenv(knobs.FASTPATH.name, "0")
+    after = _identities()
+    assert all(a != b for a, b in zip(before, after))
+
+
+def test_storage_switch_skips_stage_digests(monkeypatch, tmp_path):
+    before = _identities()
+    monkeypatch.setenv(knobs.CACHE_DIR.name, str(tmp_path / "elsewhere"))
+    after = _identities()
+    assert after[0] == before[0]
+    assert after[1] != before[1] and after[2] != before[2]
+
+
+def test_placement_switch_joins_no_identity(monkeypatch):
+    before = _identities()
+    monkeypatch.setenv(knobs.WARM_POOL.name, "0")
+    assert _identities() == before

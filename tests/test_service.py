@@ -147,7 +147,6 @@ class TestCacheThreading:
         assert not (cache_dir / "results").exists()
 
     def test_fully_cached_parallel_run_skips_the_pool(self, cache_dir, monkeypatch):
-        monkeypatch.setenv(result_cache.STAGE_GRAPH_ENV, "0")
         overrides = {
             eid: {"workloads": WORKLOADS, "events": EVENTS}
             for eid in ("fig12", "fig13")
@@ -162,7 +161,6 @@ class TestCacheThreading:
             raise AssertionError("fully-cached suite must not start a pool")
 
         monkeypatch.setattr(warm_pool, "suite_executor", _no_pool)
-        monkeypatch.setattr(engine.warm_pool, "suite_executor", _no_pool)
         warm = engine.run_suite(
             ["fig12", "fig13"], jobs=4, cache_mode=engine.CACHE_ON,
             run_overrides=overrides,
@@ -224,6 +222,21 @@ class TestSingleFlight:
         assert second["served"] == "computed"
         assert svc.handle(dict(base))["served"] == "memo"
         assert svc.handle(dict(other))["served"] == "memo"
+
+    def test_memo_evicts_least_recently_used(self, cache_dir):
+        """A hit refreshes its entry: with room for two, A B A C keeps
+        A (just used) and evicts B."""
+        svc = ExperimentService(jobs=1, cache_dir=str(cache_dir), memo_limit=2)
+
+        def request(events):
+            return {"op": "run", "experiments": ["table2"], "events": events}
+
+        assert svc.handle(request(1))["served"] == "computed"  # A
+        assert svc.handle(request(2))["served"] == "computed"  # B
+        assert svc.handle(request(1))["served"] == "memo"  # A again
+        assert svc.handle(request(3))["served"] == "computed"  # C evicts B
+        assert svc.handle(request(1))["served"] == "memo"
+        assert svc.handle(request(2))["served"] == "computed"
 
 
 class TestWatch:
