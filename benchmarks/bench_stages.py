@@ -7,7 +7,7 @@ in-process memos; only the shared on-disk cache carries over):
 * ``warm_hit`` — the same run again: every experiment a whole-result hit;
 * ``warm_refresh`` — ``--refresh`` on the warm cache: analysis stages
   recompute while trace/calibration/eval stages are served from the
-  ``stages/`` tier;
+  artifact store;
 * ``incremental`` — one experiment's ``events`` perturbed: its stage
   subgraph recomputes while every other experiment's intermediates hit.
 

@@ -28,11 +28,12 @@ the speedup.
 
 Generated filter sources are large enough that ``compile()`` itself is
 a measurable per-process cost (every engine worker pays it afresh), so
-the resulting code objects are also persisted in the on-disk context
-cache (``contexts/bpf-code/``, see :mod:`repro.common.storage`) as
-checksummed ``marshal`` payloads keyed by source hash and interpreter
-magic — a warm process skips straight to ``exec``.
-``REPRO_CONTEXT_CACHE=0`` disables that tier.
+the resulting code objects are also persisted as their own kind of
+the artifact store (``store/bpf-code/<tag>/``, see
+:mod:`repro.common.storage`): checksummed ``marshal`` payloads keyed
+by source hash and interpreter magic — a warm process skips straight
+to ``exec``.  ``REPRO_CACHE_DISABLE`` turns it off with the rest of
+the store.
 """
 
 from __future__ import annotations
@@ -387,7 +388,7 @@ def _code_cache_path(source: str) -> Path:
     digest = hashlib.sha256(source.encode()).hexdigest()[:24]
     return (
         storage.cache_root()
-        / "contexts"
+        / storage.STORE_DIR
         / "bpf-code"
         / _CODE_CACHE_TAG
         / f"{digest}.bin"
@@ -402,7 +403,7 @@ def _compile_filter_source(source: str) -> types.CodeType:
     hardened against corrupt input) ever sees it.  Any mismatch is a
     miss and the source is recompiled.
     """
-    if not storage.context_cache_enabled():
+    if not storage.cache_enabled():
         return compile(source, "<bpf-compiled-filter>", "exec")
     path = _code_cache_path(source)
     code = None

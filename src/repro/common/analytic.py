@@ -25,10 +25,13 @@ Preconditions for exactness (stated here, verified by the regimes):
   coupled to event order);
 * any caching structure the regime consults is insert-only over the
   run and keyed by event value — for software Draco this means the VAT
-  suffers **zero cuckoo evictions**, which holds by construction
-  because the OS sizes each table at twice the profile's argument-set
-  count (load factor <= 0.5); the simulator still verifies the eviction
-  counter after every exact run and fails loudly if it moved.
+  suffers **zero cuckoo evictions**.  The OS sizes each table at twice
+  the profile's argument-set count (load factor <= 0.5), so evictions
+  are rare, but a cuckoo insert can still exhaust its kick budget: the
+  simulator checks the eviction counter after every exact run and
+  raises :class:`~repro.common.errors.AnalyticPreconditionError` if it
+  moved, and the experiment runner then repeats the evaluation on the
+  exact kernels.
 
 Hardware Draco is history-*dependent* (STB retraining, SLB conflicts,
 hierarchy pollution), so no exact closed form exists.  Above

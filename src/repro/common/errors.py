@@ -56,3 +56,8 @@ class ConfigError(ReproError):
 
 class SimulationError(ReproError):
     """The simulator reached an inconsistent state (internal invariant)."""
+
+
+class AnalyticPreconditionError(SimulationError):
+    """An exact analytic replay found its precondition broken after the
+    fact; the run must be repeated on the exact kernels."""

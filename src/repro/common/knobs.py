@@ -5,12 +5,12 @@ when unset, and its *effect* — which identities it must join:
 
 * :data:`COMPUTE` — changes what a simulation computes or records
   (kernel tier, BPF fast path, ledger extras).  Folded into every
-  stage digest, the per-context evaluation memo key, the warm pool's
+  store digest, the per-context evaluation memo key, the warm pool's
   identity and the service's request digest;
 * :data:`STORAGE` — changes where results persist or what may be
   served from persistent storage.  Joins the evaluation memo key, the
-  pool identity and the request digest, but not stage digests (a stage
-  payload is the same wherever it is stored);
+  pool identity and the request digest, but not store digests (an
+  artifact is the same wherever it is stored);
 * :data:`PLACEMENT` — changes only where work runs, never a result.
   Joins no key.
 
@@ -67,7 +67,6 @@ FASTPATH = Knob("REPRO_FASTPATH", "1", COMPUTE)
 ANALYTIC = Knob("REPRO_ANALYTIC", "1", COMPUTE)
 LEDGER = Knob("REPRO_LEDGER", "1", COMPUTE)
 LEDGER_AUDIT = Knob("REPRO_LEDGER_AUDIT", "1", COMPUTE)
-CONTEXT_CACHE = Knob("REPRO_CONTEXT_CACHE", "1", STORAGE)
 #: Read literally: any non-empty value disables every on-disk cache.
 CACHE_DISABLE = Knob("REPRO_CACHE_DISABLE", "", STORAGE)
 #: Read literally: the cache directory; empty means the default.
@@ -80,7 +79,6 @@ KNOBS: Tuple[Knob, ...] = (
     ANALYTIC,
     LEDGER,
     LEDGER_AUDIT,
-    CONTEXT_CACHE,
     CACHE_DISABLE,
     CACHE_DIR,
     WARM_POOL,

@@ -1,12 +1,11 @@
 """Low-level persistent-cache plumbing shared across layers.
 
-The experiment-level cache (:mod:`repro.experiments.cache`) and the BPF
-compiler's code-object cache (:mod:`repro.bpf.compile`) sit at opposite
-ends of the import graph, but they must agree on where the cache lives
-and when it is enabled — one ``REPRO_CACHE_DIR``, one
-``REPRO_CACHE_DISABLE``, one ``REPRO_CONTEXT_CACHE`` kill switch.  This
-module owns those decisions plus the atomic write discipline, and
-depends on nothing above ``repro.common``.
+The experiment artifact store (:mod:`repro.experiments.cache`) and the
+BPF compiler's code-object kind (:mod:`repro.bpf.compile`) sit at
+opposite ends of the import graph, but they must agree on where the
+store lives and when it is enabled — one ``REPRO_CACHE_DIR`` and one
+``REPRO_CACHE_DISABLE``.  This module owns those decisions plus the
+atomic write discipline, and depends on nothing above ``repro.common``.
 
 All writes are temp-file-then-``os.replace`` so concurrent workers
 never observe a torn entry; all reads treat a missing, truncated, or
@@ -25,11 +24,14 @@ from typing import Any, Iterator, Optional, Tuple
 
 from repro.common import knobs
 
-#: Environment variables: cache directory, disable-everything flag and
-#: the context-cache kill switch (declared in :mod:`repro.common.knobs`).
+#: Environment variables: cache directory and disable-everything flag
+#: (declared in :mod:`repro.common.knobs`).
 CACHE_DIR_ENV = knobs.CACHE_DIR.name
 CACHE_DISABLE_ENV = knobs.CACHE_DISABLE.name
-CONTEXT_CACHE_ENV = knobs.CONTEXT_CACHE.name
+
+#: Directory under the cache root holding every persisted artifact as
+#: ``<kind>/<digest>``; run reports live beside it in ``runs/``.
+STORE_DIR = "store"
 
 
 #: Context-local overrides for the cache directory and disable flag.
@@ -86,18 +88,6 @@ def cache_enabled() -> bool:
     if override is not None:
         return not override
     return not knobs.CACHE_DISABLE.value()
-
-
-def context_cache_enabled() -> bool:
-    """True when the persistent context cache is active.
-
-    Requires the cache itself (``REPRO_CACHE_DISABLE`` unset) *and*
-    ``REPRO_CONTEXT_CACHE`` not set to ``0``/``off``/``false``/``no``
-    (case-insensitive); defaults to on.
-    """
-    if not cache_enabled():
-        return False
-    return knobs.CONTEXT_CACHE.enabled()
 
 
 def cache_root() -> Path:

@@ -63,7 +63,7 @@ class SimulationCounters:
     derived_traces: int = 0
     events_extrapolated: int = 0
     max_error_estimate: float = 0.0
-    #: Persistent context-cache activity, per artifact kind ("trace",
+    #: Store activity for context artifacts, per kind ("trace",
     #: "bundle", "sweep", "calibration"): how many disk probes hit,
     #: missed, and how many rebuilt artifacts were stored back.
     context_cache: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -201,12 +201,12 @@ def record_simulation(
 
 
 def record_context_cache(kind: str, outcome: str) -> None:
-    """Account one persistent-context-cache event.
+    """Account one store event for a context artifact.
 
     ``kind`` names the artifact family (``trace`` / ``bundle`` /
-    ``sweep`` / ``calibration``); ``outcome`` is ``hit`` (served from
-    disk), ``miss`` (probed, absent or invalid), or ``store`` (rebuilt
-    artifact written back).  Only *disk* activity is recorded —
+    ``sweep`` / ``calibration`` / ``bpf-code``); ``outcome`` is ``hit``
+    (served from disk), ``miss`` (probed, absent or invalid), or
+    ``store`` (rebuilt artifact written back).  Only *disk* activity is recorded —
     in-process memo hits never reach this function.
     """
     bucket = _COUNTERS.context_cache.setdefault(kind, {})
@@ -376,7 +376,7 @@ class RunReport:
         return sum(r.simulation.get("runs_coalesced", 0) for r in self.records)
 
     def context_cache(self) -> Dict[str, Dict[str, int]]:
-        """Per-kind context-cache counters summed across every record."""
+        """Per-kind context-artifact store counters summed across every record."""
         merged: Dict[str, Dict[str, int]] = {}
         for record in self.records:
             for kind, counters in record.simulation.get("context_cache", {}).items():
@@ -587,8 +587,8 @@ class RunReport:
                 for kind, c in context.items()
             )
             lines.append(
-                f"context cache: {hits} hit / {misses} miss / {stores} "
-                f"store ({detail}) — REPRO_CONTEXT_CACHE"
+                f"context artifacts: {hits} hit / {misses} miss / {stores} "
+                f"store ({detail})"
             )
         for policy, counters in self.fleet().items():
             lines.append(
@@ -766,15 +766,6 @@ class RunReport:
                 f"{pool.get('broken', 0)} broken, "
                 f"{pool.get('suites_served', 0)} suites on current pool "
                 f"(workers={pool.get('max_workers', '?')})"
-            )
-        memory = block.get("stage_memory", {})
-        if memory:
-            lines.append(
-                f"stage memory: {memory.get('hits', 0)} hit / "
-                f"{memory.get('misses', 0)} miss / "
-                f"{memory.get('stored', 0)} stored / "
-                f"{memory.get('evicted', 0)} evicted "
-                f"({memory.get('entries', 0)}/{memory.get('limit', 0)} entries)"
             )
         watch = block.get("watch", {})
         if watch:

@@ -106,7 +106,7 @@ def _summary_main(argv) -> int:
     parser.add_argument(
         "--service", action="store_true",
         help="also render the experiment-service block (request totals, "
-        "latency percentiles, warm-pool and stage-memory counters); "
+        "latency percentiles, warm-pool counters); "
         "defaults to <cache>/runs/service-latest.json when no --report "
         "is given",
     )

@@ -1,61 +1,51 @@
-"""Content-addressed on-disk cache for experiment artifacts.
+"""One content-addressed store for every persisted experiment artifact.
 
 Draco's thesis is that repeated checking work should be validated once
 and then served from a cache; this module applies the same discipline to
-the experiment pipeline itself.  Two artifact kinds are cached:
+the experiment pipeline itself.  Every artifact the pipeline persists —
+a materialised trace, a profile bundle, a Seccomp filter sweep, a
+calibrated work-cycle value, an evaluation stage payload, a terminal
+:class:`ExperimentResult` — is written **once**, under
+``store/<kind>/<digest>.json``, in one envelope::
 
-* **experiment results** — the full :class:`ExperimentResult` of a
-  registry entry, keyed by ``(experiment id, code fingerprint, params
-  digest)``, so an unchanged experiment is instant on re-run;
-* **calibration values** — the solved application work per syscall
-  ``W`` from :func:`repro.experiments.runner.calibrate_work_cycles`,
-  keyed by the full calibration input (workload spec, events, seed,
-  cost params, compiler, code fingerprint), so rebuilding contexts
-  skips the expensive filter-probe run.
+    {"format": "repro-store", "version": STORE_FORMAT_VERSION,
+     "kind": <kind>, "data": <payload>}
 
-The *code fingerprint* is a SHA-256 over every ``.py`` file under
-``src/repro`` — any source edit invalidates the whole cache, which is
-the safe direction for a research repo.  The *params digest* is a
-SHA-256 of the canonical-JSON encoding of the run parameters.
+and keyed by one function, :func:`digest`.  It folds the artifact kind
+and parameters with everything that can change a payload without a
+parameter changing: the source fingerprint, ``COMPILER_VERSION``,
+``SIM_KERNEL_VERSION``, the analytic tier's version (0 when off), the
+compute switches (:data:`repro.common.knobs.COMPUTE`) and
+``STORE_FORMAT_VERSION``.  Any source edit therefore invalidates the
+whole store, which is the safe direction for a research repo.
 
-A third tier is the **context cache**: the expensive inputs a
-simulation consumes — materialised traces, derived profile bundles,
-compiled-filter sweep artifacts — persisted so ``--refresh`` (or a
-regime-only change) re-runs simulation without re-deriving contexts.
-Context entries are versioned JSON documents keyed by
-:func:`context_digest` (spec payload + parameters + code fingerprint +
-``CONTEXT_FORMAT_VERSION``); traces use the RLE trace format from
-:mod:`repro.syscalls.serialize`.  A corrupt, truncated, or
-schema-drifted entry always reads as a miss and the caller rebuilds.
+Workload specs join a digest through :func:`spec_key`: a catalog
+workload by name (the fingerprint already covers the catalog source),
+any other spec by its full payload, so a hand-built spec can never be
+served a catalog entry.
 
-A fourth tier is the **stage cache** (``stages/``): intermediate
-payloads of the stage-graph orchestrator
-(:mod:`repro.experiments.stages`) — trace/calibration manifests and
-full evaluation ``RunResult`` JSON — keyed by content digests that
-fold each stage's parameters, its upstream stage digests, the code
-fingerprint, and ``STAGE_FORMAT_VERSION``.  Terminal analysis results
-do *not* live here: they store in ``results/`` under the
-per-experiment digest, so a warm re-run is one whole-result hit.
+A missing, torn, unparseable, wrong-kind or wrong-version entry reads
+as a miss and the caller rebuilds.  The per-kind ``load_*``/``store_*``
+methods of :class:`ResultCache` are thin codecs over one read/write
+pair.
 
 Layout (under :func:`cache_root`, default ``~/.cache/repro-draco`` or
 ``$REPRO_CACHE_DIR``)::
 
-    results/<experiment_id>/<digest>.json    cached ExperimentResult
-    stages/<kind>/<digest>.json              intermediate stage payloads
-    calibration/<digest>.json                cached work-cycle value
-    contexts/trace/<digest>.jsonl            RLE-serialised traces
-    contexts/<kind>/<digest>.json            other context artifacts
-    contexts/bpf-code/<tag>/<digest>.bin     marshalled filter code objects
-                                             (owned by repro.bpf.compile;
-                                             <tag> pins interpreter + magic)
-    runs/latest.json                         most recent run report
-    runs/run-<timestamp>.json                archived run reports
+    store/<kind>/<digest>.json           every artifact, one envelope
+                                         (trace, bundle, sweep,
+                                         calibration, eval, fleet-eval,
+                                         result)
+    store/bpf-code/<tag>/<digest>.bin    marshalled filter code objects
+                                         (owned by repro.bpf.compile;
+                                         <tag> pins interpreter + magic)
+    runs/latest.json                     most recent run report
+    runs/run-<timestamp>.json            archived run reports
 
 Set ``REPRO_CACHE_DISABLE=1`` (or pass ``--no-cache`` to the CLI) to
-bypass both reads and writes.  ``REPRO_CONTEXT_CACHE=0`` disables only
-the context tier (results and calibration still cache).  All writes are
-atomic (temp-file-then-rename) so concurrent engine workers never
-observe a torn entry.
+bypass every read and write.  All writes are atomic
+(temp-file-then-rename) so concurrent engine workers never observe a
+torn entry.
 """
 
 from __future__ import annotations
@@ -64,17 +54,17 @@ import hashlib
 import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from repro.bpf.compile import COMPILER_VERSION
+from repro.common import knobs
 from repro.common.analytic import ANALYTIC_VERSION, analytic_enabled
 from repro.common.storage import (
     CACHE_DIR_ENV,
     CACHE_DISABLE_ENV,
-    CONTEXT_CACHE_ENV,
+    STORE_DIR,
     cache_enabled,
     cache_root,
-    context_cache_enabled,
 )
 from repro.common.storage import atomic_write_text as _atomic_write
 from repro.common.storage import read_json as _read_json
@@ -82,40 +72,30 @@ from repro.kernel.simulator import SIM_KERNEL_VERSION
 from repro.experiments.results import ExperimentResult
 from repro.syscalls import serialize
 from repro.syscalls.events import SyscallTrace
+from repro.workloads.catalog import CATALOG
 
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_DISABLE_ENV",
-    "CONTEXT_CACHE_ENV",
-    "CONTEXT_FORMAT_VERSION",
     "COMPILER_VERSION",
     "SIM_KERNEL_VERSION",
-    "STAGE_FORMAT_VERSION",
+    "STORE_FORMAT_VERSION",
     "ResultCache",
     "cache_enabled",
     "cache_root",
     "code_fingerprint",
-    "context_cache_enabled",
-    "context_digest",
+    "digest",
     "params_digest",
-    "spec_payload",
+    "spec_key",
 ]
 
-#: Version of the context-cache serialisation contract.  Bumped when
-#: the on-disk shape of any context artifact changes, so stale entries
-#: read as misses instead of deserialising into the wrong shape.
-CONTEXT_FORMAT_VERSION = 1
+#: Version of the store's envelope and payload shapes.  Folded into
+#: every digest and checked on every read, so bumping it turns the
+#: whole store into misses at once.
+STORE_FORMAT_VERSION = 1
 
-#: Wrapper format marker on every generic context document.
-_CONTEXT_FORMAT_NAME = "repro-context"
-
-#: Version of the per-stage cache serialisation contract
-#: (:mod:`repro.experiments.stages`).  Folded into every stage digest,
-#: so bumping it invalidates the whole ``stages/`` tier at once.
-STAGE_FORMAT_VERSION = 1
-
-#: Wrapper format marker on every stage document.
-_STAGE_FORMAT_NAME = "repro-stage"
+#: Envelope format marker.
+_STORE_FORMAT_NAME = "repro-store"
 
 
 @lru_cache(maxsize=1)
@@ -130,9 +110,14 @@ def _fingerprint_of_tree(package_root: str) -> str:
     return digest.hexdigest()[:20]
 
 
+#: The ``repro`` package directory, resolved once: every digest folds
+#: the fingerprint, and resolving the path costs filesystem calls.
+_PACKAGE_ROOT = str(Path(__file__).resolve().parents[1])
+
+
 def code_fingerprint() -> str:
     """Fingerprint of the ``repro`` package source (any edit invalidates)."""
-    return _fingerprint_of_tree(str(Path(__file__).resolve().parents[1]))
+    return _fingerprint_of_tree(_PACKAGE_ROOT)
 
 
 def params_digest(params: Mapping[str, Any]) -> str:
@@ -141,185 +126,36 @@ def params_digest(params: Mapping[str, Any]) -> str:
     return hashlib.sha256(encoded.encode()).hexdigest()[:20]
 
 
-
-
-class ResultCache:
-    """On-disk store for :class:`ExperimentResult` payloads."""
-
-    def __init__(self, root: Optional[Path] = None) -> None:
-        self.root = Path(root) if root is not None else cache_root()
-
-    # -- experiment results --------------------------------------------
-
-    def result_key(self, experiment_id: str, run_params: Mapping[str, Any]) -> str:
-        payload = dict(run_params)
-        payload["experiment_id"] = experiment_id
-        payload["code"] = code_fingerprint()
-        # The BPF filter compiler sits under every simulated check; a
-        # semantics change there must invalidate cached results even if
-        # it ships without a source diff (e.g. a vendored build).
-        payload["bpf_compiler"] = COMPILER_VERSION
-        # Likewise the simulation kernel's numerical contract: grouping
-        # or summation-order changes alter result floats without any
-        # experiment parameter changing.
-        payload["sim_kernel"] = SIM_KERNEL_VERSION
-        # The analytic backend extrapolates some hardware-Draco results,
-        # so its results are keyed separately from exact-kernel results
-        # (0 when disabled) and on its own numerical-contract version.
-        payload["analytic"] = ANALYTIC_VERSION if analytic_enabled() else 0
-        return params_digest(payload)
-
-    def result_path(self, experiment_id: str, digest: str) -> Path:
-        return self.root / "results" / experiment_id / f"{digest}.json"
-
-    def has_result(self, experiment_id: str, digest: str) -> bool:
-        """Cheap stat-based existence probe, for callers that only need
-        to know *whether* a result is cached without paying the JSON parse + deserialize of
-        :meth:`load_result`.  A torn entry can stat as present and
-        still read as a miss later — the existence answer is advisory,
-        never load-bearing."""
-        return self.result_path(experiment_id, digest).is_file()
-
-    def load_result(self, experiment_id: str, digest: str) -> Optional[ExperimentResult]:
-        payload = _read_json(self.result_path(experiment_id, digest))
-        if payload is None:
-            return None
-        try:
-            return ExperimentResult.from_json_dict(payload)
-        except (KeyError, TypeError):
-            return None  # schema drifted under an unchanged fingerprint
-
-    def store_result(
-        self, experiment_id: str, digest: str, result: ExperimentResult
-    ) -> None:
-        _atomic_write(self.result_path(experiment_id, digest), result.to_json())
-
-    # -- calibration values --------------------------------------------
-
-    def calibration_path(self, digest: str) -> Path:
-        return self.root / "calibration" / f"{digest}.json"
-
-    def load_calibration(self, digest: str) -> Optional[float]:
-        payload = _read_json(self.calibration_path(digest))
-        if isinstance(payload, (int, float)):
-            return float(payload)
-        return None
-
-    def store_calibration(self, digest: str, value: float) -> None:
-        _atomic_write(self.calibration_path(digest), json.dumps(value))
-
-    # -- context artifacts ---------------------------------------------
-
-    def context_path(self, kind: str, digest: str, suffix: str = ".json") -> Path:
-        return self.root / "contexts" / kind / f"{digest}{suffix}"
-
-    def load_context(self, kind: str, digest: str) -> Optional[Any]:
-        """The ``data`` payload of a stored context document, or ``None``
-        on any miss: absent file, torn write, bad JSON, wrong wrapper
-        format/kind, or a ``CONTEXT_FORMAT_VERSION`` mismatch."""
-        payload = _read_json(self.context_path(kind, digest))
-        if not isinstance(payload, Mapping):
-            return None
-        if (
-            payload.get("format") != _CONTEXT_FORMAT_NAME
-            or payload.get("version") != CONTEXT_FORMAT_VERSION
-            or payload.get("kind") != kind
-            or "data" not in payload
-        ):
-            return None
-        return payload["data"]
-
-    def store_context(self, kind: str, digest: str, data: Any) -> None:
-        document = {
-            "format": _CONTEXT_FORMAT_NAME,
-            "version": CONTEXT_FORMAT_VERSION,
+def digest(kind: str, **params: Any) -> str:
+    """The store key of one artifact: its kind and parameters plus every
+    version and compute switch that can change a payload."""
+    return params_digest(
+        {
             "kind": kind,
-            "data": data,
+            "params": params,
+            "code": code_fingerprint(),
+            "store_format": STORE_FORMAT_VERSION,
+            "bpf_compiler": COMPILER_VERSION,
+            "sim_kernel": SIM_KERNEL_VERSION,
+            "analytic": ANALYTIC_VERSION if analytic_enabled() else 0,
+            "env": dict(knobs.settings(knobs.COMPUTE)),
         }
-        _atomic_write(
-            self.context_path(kind, digest),
-            json.dumps(document, sort_keys=True, separators=(",", ":")),
-        )
-
-    def load_trace_context(self, digest: str) -> Optional[SyscallTrace]:
-        """A stored trace, or ``None`` on any miss or corruption (the
-        trace parser validates the header, every record, and the
-        declared event count)."""
-        path = self.context_path("trace", digest, suffix=".jsonl")
-        try:
-            text = path.read_text()
-        except OSError:
-            return None
-        try:
-            return serialize.loads(text)
-        except serialize.TraceFormatError:
-            return None
-
-    def store_trace_context(self, digest: str, trace: SyscallTrace) -> None:
-        _atomic_write(
-            self.context_path("trace", digest, suffix=".jsonl"),
-            serialize.dumps(trace, version=serialize.FORMAT_VERSION_RLE),
-        )
-
-    # -- stage payloads -------------------------------------------------
-
-    def stage_path(self, kind: str, digest: str) -> Path:
-        return self.root / "stages" / kind / f"{digest}.json"
-
-    def load_stage(self, kind: str, digest: str) -> Optional[Any]:
-        """The ``data`` payload of a stored stage document, or ``None``
-        on any miss: absent file, torn write, bad JSON, wrong wrapper
-        format/kind, or a ``STAGE_FORMAT_VERSION`` mismatch."""
-        payload = _read_json(self.stage_path(kind, digest))
-        if not isinstance(payload, Mapping):
-            return None
-        if (
-            payload.get("format") != _STAGE_FORMAT_NAME
-            or payload.get("version") != STAGE_FORMAT_VERSION
-            or payload.get("kind") != kind
-            or "data" not in payload
-        ):
-            return None
-        return payload["data"]
-
-    def store_stage(self, kind: str, digest: str, data: Any) -> None:
-        document = {
-            "format": _STAGE_FORMAT_NAME,
-            "version": STAGE_FORMAT_VERSION,
-            "kind": kind,
-            "data": data,
-        }
-        _atomic_write(
-            self.stage_path(kind, digest),
-            json.dumps(document, sort_keys=True, separators=(",", ":")),
-        )
+    )
 
 
-def context_digest(kind: str, spec, **params: Any) -> str:
-    """Content digest for one context artifact.
-
-    Folds the full workload-spec payload, the artifact kind and its
-    parameters, the source fingerprint, and the context serialisation
-    version — the same keying discipline as results, so a context entry
-    can never outlive a code or parameter change.
-    """
-    payload: Dict[str, Any] = {
-        "context_kind": kind,
-        "spec": spec_payload(spec),
-        "code": code_fingerprint(),
-        "context_format": CONTEXT_FORMAT_VERSION,
-    }
-    payload.update(params)
-    return params_digest(payload)
+def spec_key(spec) -> Any:
+    """How a WorkloadSpec joins a digest: a catalog workload by name,
+    any other spec by its full payload (a different JSON type, so the
+    two can never collide)."""
+    if CATALOG.get(spec.name) is spec:
+        return spec.name
+    return _spec_payload(spec)
 
 
-def spec_payload(spec) -> Mapping[str, Any]:
-    """Stable JSON-ready description of a WorkloadSpec for digesting.
-
-    Deliberately hand-rolled rather than ``dataclasses.asdict``: the
-    spec's syscall table is a large non-dataclass object whose repr is
-    not stable across processes, so it is summarised by its entries.
-    """
+def _spec_payload(spec) -> Mapping[str, Any]:
+    # Hand-rolled rather than ``dataclasses.asdict``: the spec's syscall
+    # table is a large non-dataclass object whose repr is not stable
+    # across processes, so it is summarised by its entries.
     return {
         "name": spec.name,
         "kind": spec.kind,
@@ -338,3 +174,91 @@ def spec_payload(spec) -> Mapping[str, Any]:
             (d.sid, d.name, d.nargs, d.pointer_mask) for d in spec.table
         ),
     }
+
+
+class ResultCache:
+    """The ``store/`` tier: per-kind codecs over one envelope read/write."""
+
+    def __init__(self, root: Optional[Path] = None) -> None:
+        self.root = Path(root) if root is not None else cache_root()
+
+    def path(self, kind: str, digest: str) -> Path:
+        return self.root / STORE_DIR / kind / f"{digest}.json"
+
+    def exists(self, kind: str, digest: str) -> bool:
+        """Stat-only probe, for artifacts whose presence is all a caller
+        needs; a torn entry still reads as a miss when loaded."""
+        return self.path(kind, digest).is_file()
+
+    def _read(self, kind: str, digest: str) -> Optional[Any]:
+        """The ``data`` of a stored envelope, or ``None`` on any miss:
+        absent file, torn write, bad JSON, wrong format/kind/version."""
+        document = _read_json(self.path(kind, digest))
+        if (
+            not isinstance(document, Mapping)
+            or document.get("format") != _STORE_FORMAT_NAME
+            or document.get("version") != STORE_FORMAT_VERSION
+            or document.get("kind") != kind
+            or "data" not in document
+        ):
+            return None
+        return document["data"]
+
+    def _write(self, kind: str, digest: str, data: Any) -> None:
+        document = {
+            "format": _STORE_FORMAT_NAME,
+            "version": STORE_FORMAT_VERSION,
+            "kind": kind,
+            "data": data,
+        }
+        _atomic_write(
+            self.path(kind, digest),
+            json.dumps(document, sort_keys=True, separators=(",", ":")),
+        )
+
+    # -- per-kind codecs --------------------------------------------------
+
+    def load_stage(self, kind: str, digest: str) -> Optional[Any]:
+        return self._read(kind, digest)
+
+    def store_stage(self, kind: str, digest: str, data: Any) -> None:
+        self._write(kind, digest, data)
+
+    def load_context(self, kind: str, digest: str) -> Optional[Any]:
+        return self._read(kind, digest)
+
+    def store_context(self, kind: str, digest: str, data: Any) -> None:
+        self._write(kind, digest, data)
+
+    def load_trace_context(self, digest: str) -> Optional[SyscallTrace]:
+        """A stored trace, or ``None`` on any miss or corruption (the
+        trace parser validates the header, every record, and the
+        declared event count)."""
+        try:
+            return serialize.from_records(self._read("trace", digest))
+        except serialize.TraceFormatError:
+            return None
+
+    def store_trace_context(self, digest: str, trace: SyscallTrace) -> None:
+        self._write("trace", digest, serialize.rle_records(trace))
+
+    def load_result(self, digest: str) -> Optional[ExperimentResult]:
+        payload = self._read("result", digest)
+        if not isinstance(payload, Mapping):
+            return None
+        try:
+            return ExperimentResult.from_json_dict(payload)
+        except (KeyError, TypeError, ValueError):
+            return None  # schema drifted under an unchanged fingerprint
+
+    def store_result(self, digest: str, result: ExperimentResult) -> None:
+        self._write("result", digest, result.to_json_dict())
+
+    def load_calibration(self, digest: str) -> Optional[float]:
+        value = self._read("calibration", digest)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        return None
+
+    def store_calibration(self, digest: str, value: float) -> None:
+        self._write("calibration", digest, value)

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.common import knobs, storage, telemetry
 from repro.common.analytic import analytic_enabled
-from repro.common.errors import ConfigError
+from repro.common.errors import AnalyticPreconditionError, ConfigError
 from repro.common.memo import memo_insert
 from repro.common.rng import DEFAULT_SEED
 from repro.cpu.params import (
@@ -46,7 +46,6 @@ from repro.seccomp.toolkit import (
     bundle_to_payload,
     generate_bundle,
 )
-from repro.syscalls import serialize
 from repro.syscalls.events import SyscallTrace
 from repro.workloads.catalog import (
     CATALOG,
@@ -98,8 +97,8 @@ def _bundle_for(spec: WorkloadSpec, seed: int) -> ProfileBundle:
         return hit[1]
     bundle = None
     digest = None
-    if result_cache.context_cache_enabled():
-        digest = result_cache.context_digest("bundle", spec, seed=seed)
+    if result_cache.cache_enabled():
+        digest = result_cache.digest("bundle", spec=result_cache.spec_key(spec), seed=seed)
         payload = result_cache.ResultCache().load_context("bundle", digest)
         if payload is not None:
             bundle = bundle_from_payload(payload, spec.name)
@@ -121,7 +120,7 @@ def _runtime_env_key() -> Tuple[object, ...]:
     """Key of the per-context evaluation memo: every switch that changes
     what a simulation computes or may serve from persistent storage
     (:mod:`repro.common.knobs`), so toggling one mid-process (the
-    differential tests flip ``REPRO_BULK`` and ``REPRO_CONTEXT_CACHE``)
+    differential tests flip ``REPRO_BULK`` and ``REPRO_CACHE_DISABLE``)
     re-runs instead of serving a result the new setting forbids.
 
     Context-local cache overrides (the engine/service replacement for
@@ -225,7 +224,7 @@ class WorkloadContext:
         """Serve a Seccomp evaluation from the shared filter sweep, or
         ``None`` to run the trace for real.
 
-        Gated on both the context cache and the analytic backend: with
+        Gated on both the store and the analytic backend: with
         ``REPRO_ANALYTIC=0`` every run must go through the exact
         kernels (the kill-switch contract), and replayed results are
         byte-identical to those by the differential tests.
@@ -233,7 +232,7 @@ class WorkloadContext:
         variant = _SECCOMP_REPLAY_VARIANTS.get(regime_name)
         if variant is None:
             return None
-        if not (result_cache.context_cache_enabled() and analytic_enabled()):
+        if not (result_cache.cache_enabled() and analytic_enabled()):
             return None
         from repro.experiments import seccomp_replay
 
@@ -260,8 +259,10 @@ class WorkloadContext:
         the runtime env knobs, so its frozen :class:`RunResult` is
         memoised per context; overrides (unhashable cost objects) always
         run fresh.  Seccomp regimes are additionally served by replaying
-        the persistent per-(trace, profile) filter sweep when the
-        context cache allows it.
+        the persistent per-(trace, profile) filter sweep when the store
+        allows it.  An exact analytic replay whose precondition breaks
+        (:class:`~repro.common.errors.AnalyticPreconditionError`) is
+        repeated on the exact kernels with a fresh regime.
         """
         key = None
         if not overrides:
@@ -271,17 +272,25 @@ class WorkloadContext:
                 return hit
         result = self._replay(regime_name) if not overrides else None
         if result is None:
-            regime = self.make_regime(regime_name, **overrides)
-            result = run_trace(
-                self.trace,
-                regime,
-                work_cycles_per_syscall=self.work_cycles,
-                syscall_base_cycles=self.syscall_base_cycles,
-                workload_name=self.spec.name,
-            )
+            try:
+                result = self._run(regime_name, overrides)
+            except AnalyticPreconditionError:
+                result = self._run(regime_name, overrides, analytic=False)
         if key is not None:
             self._eval_memo[key] = result
         return result
+
+    def _run(
+        self, regime_name: str, overrides: dict, analytic: Optional[bool] = None
+    ) -> RunResult:
+        return run_trace(
+            self.trace,
+            self.make_regime(regime_name, **overrides),
+            work_cycles_per_syscall=self.work_cycles,
+            syscall_base_cycles=self.syscall_base_cycles,
+            workload_name=self.spec.name,
+            analytic=analytic,
+        )
 
     def seed_evaluation(self, regime_name: str, result: RunResult) -> None:
         """Inject a precomputed no-override evaluation into the memo.
@@ -318,6 +327,38 @@ _TRACE_MEMO: dict = {}
 _TRACE_MEMO_LIMIT = 64
 
 
+def trace_digest(spec: WorkloadSpec, events: int, seed: int) -> str:
+    """Store key of a materialised trace, and of the trace stage that
+    produces it (:mod:`repro.experiments.stages`)."""
+    return result_cache.digest(
+        "trace", spec=result_cache.spec_key(spec), events=events, seed=seed
+    )
+
+
+@lru_cache(maxsize=16)
+def _costs_payload(costs: SoftwareCostParams) -> dict:
+    return asdict(costs)
+
+
+def calibration_digest(
+    spec: WorkloadSpec,
+    events: int,
+    seed: int,
+    costs: SoftwareCostParams,
+    compiler: str,
+) -> str:
+    """Store key of a calibrated ``W``, and of the calibration stage
+    that produces it: every input that shapes the solved value."""
+    return result_cache.digest(
+        "calibration",
+        spec=result_cache.spec_key(spec),
+        events=events,
+        seed=seed,
+        costs=_costs_payload(costs),
+        compiler=compiler,
+    )
+
+
 def _trace_for(spec: WorkloadSpec, events: int, seed: int) -> SyscallTrace:
     key = (id(spec), events, seed)
     hit = _TRACE_MEMO.get(key)
@@ -325,14 +366,8 @@ def _trace_for(spec: WorkloadSpec, events: int, seed: int) -> SyscallTrace:
         return hit[1]
     trace = None
     digest = None
-    if result_cache.context_cache_enabled():
-        digest = result_cache.context_digest(
-            "trace",
-            spec,
-            events=events,
-            seed=seed,
-            trace_format=serialize.FORMAT_VERSION_RLE,
-        )
+    if result_cache.cache_enabled():
+        digest = trace_digest(spec, events, seed)
         trace = result_cache.ResultCache().load_trace_context(digest)
         if trace is not None and len(trace) != events:
             trace = None  # digest collision or stale entry: rebuild
@@ -367,10 +402,9 @@ def calibrate_work_cycles(
     """Solve W from the Figure 2 syscall-complete target (see module doc).
 
     The probe run (a full filter execution over the trace) dominates
-    context-build time, so the solved value is memoised on disk, keyed
-    by *every* input that shapes it: the complete workload spec, trace
-    length and seed, cost params, compiler strategy, and the source
-    fingerprint.  A change to any of them recalibrates.
+    context-build time, so the solved value is memoised in the store
+    under :func:`calibration_digest`.  A change to any input
+    recalibrates.
     """
     target = spec.fig2_targets.get(REGIME_COMPLETE)
     if target is None or target <= 1.0:
@@ -387,24 +421,7 @@ def calibrate_work_cycles(
 
     digest = None
     if result_cache.cache_enabled():
-        digest = result_cache.params_digest(
-            {
-                "kind": "calibration",
-                "spec": result_cache.spec_payload(spec),
-                "events": len(trace),
-                "seed": seed,
-                "costs": asdict(costs),
-                "compiler": compiler,
-                "code": result_cache.code_fingerprint(),
-                "bpf_compiler": result_cache.COMPILER_VERSION,
-                "sim_kernel": result_cache.SIM_KERNEL_VERSION,
-                # No "analytic" key on purpose: the probe regime below is
-                # seccomp, which the analytic backend replays exactly
-                # (byte-identical by contract, enforced by the
-                # differential tests), so the solved W is shared across
-                # REPRO_ANALYTIC settings.
-            }
-        )
+        digest = calibration_digest(spec, len(trace), seed, costs, compiler)
         cached = result_cache.ResultCache().load_calibration(digest)
         telemetry.record_context_cache(
             "calibration", "hit" if cached is not None else "miss"
@@ -419,7 +436,7 @@ def calibrate_work_cycles(
             return cached
 
     probe = None
-    if result_cache.context_cache_enabled() and analytic_enabled():
+    if result_cache.cache_enabled() and analytic_enabled():
         # The probe is a plain syscall-complete evaluation at W = S = 1,
         # so it replays the same shared filter sweep the syscall-complete
         # bars use (byte-identical mean_check_cycles by contract).

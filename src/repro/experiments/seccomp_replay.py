@@ -19,17 +19,17 @@ frozen :class:`RunResult` is byte-identical — proven by the
 differential tests in ``tests/test_context_cache.py``.
 
 Sweeps are cached twice: in-process (bounded, oldest-first eviction)
-and on disk via the persistent context cache
-(:mod:`repro.experiments.cache`), keyed by the spec payload, trace
-parameters, profile role, compiler strategy, BPF compiler version, and
-the code fingerprint.  ``syscall-complete``, ``syscall-complete-2x``,
-and the calibration probe all share the single ``complete`` sweep.
+and on disk as the ``sweep`` kind of the artifact store
+(:mod:`repro.experiments.cache`), keyed by the workload, trace
+parameters, profile role and compiler strategy.
+``syscall-complete``, ``syscall-complete-2x``, and the calibration
+probe all share the single ``complete`` sweep.
 
-Replays are only served when both the context cache
-(``REPRO_CONTEXT_CACHE``) and the analytic backend (``REPRO_ANALYTIC``)
-are enabled — with the analytic tier off, every run goes through the
-exact kernels, as ``docs/PERFORMANCE.md`` promises.  Callers gate; this
-module assumes it.
+Replays are only served when both the store (``REPRO_CACHE_DISABLE``
+unset) and the analytic backend (``REPRO_ANALYTIC``) are enabled —
+with the analytic tier off, every run goes through the exact kernels,
+as ``docs/PERFORMANCE.md`` promises.  Callers gate; this module
+assumes it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.bpf.compile import COMPILER_VERSION
 from repro.common import analytic as analytic_backend
 from repro.common import ledger, telemetry
 from repro.common.errors import SimulationError
@@ -206,9 +205,8 @@ def sweep_for(
 
     ``role`` names which bundle profile this is ("docker" / "noargs" /
     "complete") — it keys the disk entry alongside everything that
-    shapes the filter: the spec payload (argument sets and the syscall
-    table), trace length/seed/warm-up, compiler strategy and version,
-    and the source fingerprint.
+    shapes the filter: the workload (argument sets and the syscall
+    table), trace length/seed/warm-up and compiler strategy.
     """
     global sweeps_built, sweeps_loaded
     windows = analytic_backend.trace_windows(
@@ -222,15 +220,14 @@ def sweep_for(
         return hit[2]
 
     store = result_cache.ResultCache()
-    digest = result_cache.context_digest(
+    digest = result_cache.digest(
         "sweep",
-        spec,
+        spec=result_cache.spec_key(spec),
         events=len(trace),
         seed=seed,
         warmup=windows.warmup,
         role=role,
         compiler=compiler,
-        bpf_compiler=COMPILER_VERSION,
     )
     sweep = _sweep_from_payload(store.load_context("sweep", digest), windows)
     telemetry.record_context_cache("sweep", "hit" if sweep is not None else "miss")

@@ -2,13 +2,14 @@
 
 ``python -m repro.experiments.service`` keeps one process alive with
 everything the engine needs already hot — the persistent worker pool
-(:mod:`repro.experiments.pool`), the in-memory stage tier above the
-``stages/`` disk cache, and a request memo — and serves suite /
+(:mod:`repro.experiments.pool`) and a request memo — and serves suite /
 experiment requests over a unix socket, one JSON object per line.
 Draco's serving story applied to the engine itself: validate (compute)
 once, then serve repeats at cache speed.
 
-Three layers keep repeat traffic off the pool entirely:
+Two layers keep repeat traffic off the pool entirely, and the
+artifact store (:mod:`repro.experiments.cache`) serves every unchanged
+stage of the requests that do reach the stage graph:
 
 1. **request memo** — every run request is content-addressed
    (parameters + source fingerprint + behavioural env knobs); an
@@ -20,18 +21,14 @@ Three layers keep repeat traffic off the pool entirely:
    bench asserts this);
 2. **single-flight coalescing** — identical requests arriving while
    the first is still computing wait for that flight and share its
-   response instead of duplicating work;
-3. **in-memory stage tier** — requests that do reach the stage graph
-   serve unchanged stages from process memory, without a stat or JSON
-   parse (:func:`repro.experiments.stages.configure_stage_memory`).
+   response instead of duplicating work.
 
 **Watch mode** (``--watch params.json``) polls a request file by
 content hash and re-runs it when it changes; the stage graph's
 content-addressing means only the dirty stage subgraph recomputes.  A
 source-tree change detected during watch invalidates the request memo
-and the stage memory (the warm pool recycles itself via its key);
-semantic reload of already-imported modules requires a restart, which
-the ``code_drift`` counter makes visible.
+and the warm pool; semantic reload of already-imported modules requires
+a restart, which the ``code_drift`` counter makes visible.
 
 Protocol: newline-delimited JSON requests with an ``op`` field —
 ``run`` / ``ping`` / ``stats`` / ``report`` / ``invalidate`` /
@@ -59,11 +56,6 @@ from repro.common import stats as common_stats
 from repro.experiments import cache as result_cache
 from repro.experiments import engine
 from repro.experiments import pool as warm_pool
-from repro.experiments import stages as stage_graph
-
-#: Default capacity of the in-memory stage tier (entries).  The full
-#: registry expands to ~200 stages, so this holds several hot suites.
-DEFAULT_STAGE_MEMORY = 512
 
 #: Default capacity of the request memo (distinct request digests).
 DEFAULT_MEMO_LIMIT = 64
@@ -95,13 +87,11 @@ class ExperimentService:
         *,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        stage_memory: int = DEFAULT_STAGE_MEMORY,
         memo_limit: int = DEFAULT_MEMO_LIMIT,
     ) -> None:
         self.jobs = max(1, int(jobs if jobs is not None else min(4, os.cpu_count() or 1)))
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.memo_limit = max(0, int(memo_limit))
-        stage_graph.configure_stage_memory(stage_memory)
         self._lock = threading.Lock()
         #: Request memo, least recently used first.
         self._memo: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -258,11 +248,10 @@ class ExperimentService:
                 self._memo.popitem(last=False)
 
     def invalidate(self) -> None:
-        """Drop every in-process serving layer (memo, stage memory,
-        worker pool).  The disk cache is untouched."""
+        """Drop every in-process serving layer (request memo, worker
+        pool).  The disk cache is untouched."""
         with self._lock:
             self._memo.clear()
-        stage_graph.reset_stage_memory()
         warm_pool.shutdown(wait=False)
 
     # -- watch mode ------------------------------------------------------
@@ -272,7 +261,7 @@ class ExperimentService:
 
         Returns the request file's content digest (``None`` when the
         file is unreadable).  Also checks the source tree: when the
-        code fingerprint drifts, the request memo and stage memory are
+        code fingerprint drifts, the request memo and pool are
         invalidated — already-imported modules cannot be semantically
         reloaded, so a restart is required for the new code to *run*,
         which the ``code_drift`` counter surfaces.
@@ -333,7 +322,6 @@ class ExperimentService:
                 "max": round(max(latencies), 3),
             }
         block["pool"] = warm_pool.stats()
-        block["stage_memory"] = stage_graph.stage_memory_stats()
         return block
 
     def write_report(self, path: Optional[str] = None) -> str:
@@ -501,12 +489,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
     parser.add_argument("--cache-dir", help="cache root served by this daemon")
     parser.add_argument(
-        "--stage-memory",
-        type=int,
-        default=DEFAULT_STAGE_MEMORY,
-        help="in-memory stage tier capacity in entries (0 disables)",
-    )
-    parser.add_argument(
         "--memo",
         type=int,
         default=DEFAULT_MEMO_LIMIT,
@@ -526,7 +508,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     service = ExperimentService(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        stage_memory=args.stage_memory,
         memo_limit=args.memo,
     )
     if warm_pool.warm_pool_enabled() and not args.no_prestart:

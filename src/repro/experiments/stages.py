@@ -9,26 +9,28 @@ into a DAG of **stages**::
 
     trace ──► calibration ──► eval (one per workload × regime) ──► analysis
 
-Each stage is content-addressed: its digest folds the stage kind and
-parameters, the digests of its upstream stages, the source
-fingerprint, the compiler / simulation-kernel / analytic format
-versions, ``STAGE_FORMAT_VERSION``, and the switches that change what
-a stage computes (:data:`repro.common.knobs.COMPUTE`).  Identical
-stages requested by several experiments execute **once** per suite
-run (and dedupe on disk); a parameter change invalidates exactly the
-affected stages and their descendants.
+Each stage is content-addressed by :func:`repro.experiments.cache.digest`
+over its kind, parameters and upstream stage digests (which also folds
+the source fingerprint, the format versions and the compute switches).
+Identical stages requested by several experiments execute **once** per
+suite run; a parameter change invalidates exactly the affected stages
+and their descendants.
 
-Stage payloads are plain JSON: ``trace`` and ``calibration`` stages
-return tiny manifests (their real output lands in the persistent
-context cache, which downstream stages read), ``eval`` stages return
-the exact :meth:`~repro.kernel.simulator.RunResult.to_json_dict`
-payload, and terminal stages return the experiment's
-:class:`~repro.experiments.results.ExperimentResult`.  Intermediate
-payloads persist in the ``stages/<kind>/<digest>.json`` tier of
-:class:`repro.experiments.cache.ResultCache`; terminal payloads are
-stored in the ``results/`` tier under the per-experiment result
-digest, so warm runs, ``summary`` and every cache tool read them
-directly.
+Every stage output is stored once, in the one artifact store
+(``store/<kind>/<digest>.json``):
+
+* ``trace`` and ``calibration`` stages are keyed by the digest of the
+  artifact the runner stores (:func:`repro.experiments.runner.trace_digest`,
+  :func:`~repro.experiments.runner.calibration_digest`); they write
+  nothing themselves and are probed by existence only, since the
+  downstream evaluation reads the artifact through the runner anyway;
+* ``eval`` and ``fleet-eval`` stages store their payload (the exact
+  :meth:`~repro.kernel.simulator.RunResult.to_json_dict` or fleet
+  payload) under the stage digest;
+* terminal stages store the experiment's
+  :class:`~repro.experiments.results.ExperimentResult` as the
+  ``result`` kind under the per-experiment result digest, so warm
+  runs, ``summary`` and every cache tool read them directly.
 
 Byte-identity with a direct ``run()`` is structural, not incidental:
 the analysis stage rebuilds each workload context and **seeds** the
@@ -40,23 +42,20 @@ full-registry markdown matches each entry's ``run()`` called
 serially with every cache off.
 
 ``--refresh`` is stage-scoped: terminal stages always recompute (and
-restore the ``results/`` entry) while intermediate stages are served
-from the ``stages/`` tier, so a warm refresh re-renders every table
-without re-simulating.
+restore the ``result`` entry) while intermediate stages are served
+from the store, so a warm refresh re-renders every table without
+re-simulating.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
-from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common import knobs, storage, telemetry
-from repro.common.analytic import ANALYTIC_VERSION, analytic_enabled
+from repro.common import storage, telemetry
 from repro.common.rng import DEFAULT_SEED
 from repro.cpu.params import DEFAULT_SW_COSTS
 from repro.experiments import cache as result_cache
@@ -84,10 +83,16 @@ KIND_EXPERIMENT = "experiment"  # monolithic fallback: the whole run()
 #: :meth:`~repro.kernel.fleet.FleetResult.to_json_dict` payload.
 KIND_FLEET_EVAL = "fleet-eval"
 
-#: Kinds persisted in the ``stages/`` tier.  Terminal kinds
-#: (analysis / experiment) store their ExperimentResult in the
-#: ``results/`` tier under the per-experiment result digest instead.
-_INTERMEDIATE_KINDS = frozenset({KIND_TRACE, KIND_CALIBRATION, KIND_EVAL, KIND_FLEET_EVAL})
+#: Stages keyed by the digest of the artifact the runner stores: no
+#: payload of their own, probed by existence.
+_ARTIFACT_KINDS = frozenset({KIND_TRACE, KIND_CALIBRATION})
+#: Stages whose payload is stored under the stage digest.  Terminal
+#: kinds (analysis / experiment) store their ExperimentResult as the
+#: ``result`` kind under the per-experiment result digest instead.
+_PAYLOAD_KINDS = frozenset({KIND_EVAL, KIND_FLEET_EVAL})
+
+#: Filter compiler of every planned context (``get_context``'s default).
+_COMPILER = "binary_tree"
 
 #: run() keyword arguments the DAG planner understands.  Anything else
 #: (unknown overrides) falls back to a monolithic experiment stage.
@@ -145,24 +150,9 @@ class ExperimentPlan:
 
     experiment_id: str
     run_kwargs: Dict[str, Any]
-    result_digest: str  # ResultCache.result_key, for the results/ tier
+    result_digest: str  # store key of the terminal ExperimentResult
     stages: Dict[str, Stage]  # insertion order is topological
     terminal: str
-
-
-def _stage_digest(kind: str, params: Mapping[str, Any], deps: Sequence[str]) -> str:
-    payload = {
-        "stage_kind": kind,
-        "params": dict(params),
-        "deps": list(deps),
-        "code": result_cache.code_fingerprint(),
-        "stage_format": result_cache.STAGE_FORMAT_VERSION,
-        "bpf_compiler": result_cache.COMPILER_VERSION,
-        "sim_kernel": result_cache.SIM_KERNEL_VERSION,
-        "analytic": ANALYTIC_VERSION if analytic_enabled() else 0,
-        "env": dict(knobs.settings(knobs.COMPUTE)),
-    }
-    return result_cache.params_digest(payload)
 
 
 def _add_stage(
@@ -171,9 +161,12 @@ def _add_stage(
     label: str,
     params: Dict[str, Any],
     deps: Tuple[str, ...] = (),
+    key: Optional[str] = None,
 ) -> str:
-    """Insert one stage (first insertion wins) and return its key."""
-    key = _stage_digest(kind, params, deps)
+    """Insert one stage (first insertion wins) and return its key: the
+    given artifact digest, or the digest of kind, params and deps."""
+    if key is None:
+        key = result_cache.digest(kind, params=params, deps=list(deps))
     stages.setdefault(key, Stage(key=key, kind=kind, label=label, params=params, deps=deps))
     return key
 
@@ -230,18 +223,21 @@ def build_plan(
         # always solves W against the modern-kernel costs — see
         # runner.build_context), so modern and old-kernel experiments
         # share these stages; only evals key on ``old_kernel``.
+        spec = CATALOG[name]
         trace_key = _add_stage(
             stages,
             KIND_TRACE,
             f"trace:{name}",
             {"workload": name, "events": events, "seed": seed},
+            key=runner.trace_digest(spec, events, seed),
         )
         calib_key = _add_stage(
             stages,
             KIND_CALIBRATION,
             f"calibration:{name}",
-            {"workload": name, "events": events, "seed": seed, "compiler": "binary_tree"},
+            {"workload": name, "events": events, "seed": seed, "compiler": _COMPILER},
             (trace_key,),
+            key=runner.calibration_digest(spec, events, seed, DEFAULT_SW_COSTS, _COMPILER),
         )
         for regime in plan.regimes:
             eval_keys.append(
@@ -310,93 +306,23 @@ def monolithic_plan(
     )
 
 
-# -- in-memory stage tier ----------------------------------------------
-#
-# A small LRU of hot stage payloads sitting *above* the ``stages/``
-# disk tier: a repeat hit is served without a stat, file read, or JSON
-# parse.  Safe because stage digests are fully content-addressed (code
-# fingerprint, format versions, env knobs, dep digests) — a payload
-# valid on disk under a digest is equally valid in memory under it.
-# Disabled by default (limit 0): batch CLI runs gain little, and tests
-# that corrupt the disk tier to force re-execution must keep seeing
-# the disk as the source of truth.  The experiment service turns it on.
-
-_STAGE_MEMORY_LOCK = threading.Lock()
-_STAGE_MEMORY: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
-_STAGE_MEMORY_LIMIT = 0
-_STAGE_MEMORY_STATS = {"hits": 0, "misses": 0, "stored": 0, "evicted": 0}
-
-
-def configure_stage_memory(limit: int) -> None:
-    """Set the in-memory tier's capacity (entries); 0 disables it."""
-    global _STAGE_MEMORY_LIMIT
-    with _STAGE_MEMORY_LOCK:
-        _STAGE_MEMORY_LIMIT = max(0, int(limit))
-        while len(_STAGE_MEMORY) > _STAGE_MEMORY_LIMIT:
-            _STAGE_MEMORY.popitem(last=False)
-            _STAGE_MEMORY_STATS["evicted"] += 1
-
-
-def reset_stage_memory() -> None:
-    """Drop all entries and zero the counters (tests, code drift)."""
-    with _STAGE_MEMORY_LOCK:
-        _STAGE_MEMORY.clear()
-        for name in _STAGE_MEMORY_STATS:
-            _STAGE_MEMORY_STATS[name] = 0
-
-
-def stage_memory_stats() -> Dict[str, int]:
-    with _STAGE_MEMORY_LOCK:
-        snapshot = dict(_STAGE_MEMORY_STATS)
-        snapshot["entries"] = len(_STAGE_MEMORY)
-        snapshot["limit"] = _STAGE_MEMORY_LIMIT
-    return snapshot
-
-
-def _stage_memory_get(kind: str, key: str) -> Any:
-    with _STAGE_MEMORY_LOCK:
-        if _STAGE_MEMORY_LIMIT <= 0:
-            return None
-        entry = _STAGE_MEMORY.get((kind, key))
-        if entry is None:
-            _STAGE_MEMORY_STATS["misses"] += 1
-            return None
-        _STAGE_MEMORY.move_to_end((kind, key))
-        _STAGE_MEMORY_STATS["hits"] += 1
-        return entry
-
-
-def _stage_memory_put(kind: str, key: str, payload: Any) -> None:
-    with _STAGE_MEMORY_LOCK:
-        if _STAGE_MEMORY_LIMIT <= 0:
-            return
-        _STAGE_MEMORY[(kind, key)] = payload
-        _STAGE_MEMORY.move_to_end((kind, key))
-        _STAGE_MEMORY_STATS["stored"] += 1
-        while len(_STAGE_MEMORY) > _STAGE_MEMORY_LIMIT:
-            _STAGE_MEMORY.popitem(last=False)
-            _STAGE_MEMORY_STATS["evicted"] += 1
-
-
 # -- stage executors (run in workers; must stay module-top-level) -------
+#
+# Trace and calibration stages return no payload: the runner stores
+# the artifact itself, under the digest that is the stage's key.
 
 
-def _run_trace_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
-    spec = CATALOG[params["workload"]]
-    trace = runner._trace_for(spec, params["events"], params["seed"])
-    # The trace itself lands in the persistent context cache (or the
-    # in-process memo); the stage payload is just a manifest.
-    return {"events": len(trace)}
+def _run_trace_stage(params: Mapping[str, Any]) -> None:
+    runner._trace_for(CATALOG[params["workload"]], params["events"], params["seed"])
 
 
-def _run_calibration_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
+def _run_calibration_stage(params: Mapping[str, Any]) -> None:
     spec = CATALOG[params["workload"]]
     trace = runner._trace_for(spec, params["events"], params["seed"])
     bundle = runner._bundle_for(spec, params["seed"])
-    work = runner.calibrate_work_cycles(
+    runner.calibrate_work_cycles(
         spec, trace, bundle, DEFAULT_SW_COSTS, params["compiler"], seed=params["seed"]
     )
-    return {"work_cycles": work}
 
 
 def _run_eval_stage(params: Mapping[str, Any]) -> Dict[str, Any]:
@@ -473,10 +399,10 @@ def _execute_stage(
     trust environment inherited at fork time, and context-local
     overrides do not cross the ``fork`` boundary.
 
-    Returns a JSON/pickle-safe envelope; never raises.  Intermediate
-    payloads are written to the ``stages/`` tier here (in the worker,
-    which already holds the payload); terminal payloads go to the
-    ``results/`` tier.
+    Returns a JSON/pickle-safe envelope; never raises.  Eval payloads
+    and terminal results are stored here (in the worker, which already
+    holds the payload); trace and calibration artifacts were stored by
+    the runner while the stage ran.
     """
     with storage.cache_overrides(
         cache_dir=cache_dir, disable=(cache_mode == CACHE_OFF)
@@ -516,17 +442,16 @@ def _execute_stage_inner(
         out["error"] = traceback.format_exc()
     else:
         out["payload"] = payload
-        if kind in _INTERMEDIATE_KINDS:
-            if cache_mode != CACHE_OFF and result_cache.cache_enabled():
-                result_cache.ResultCache().store_stage(kind, key, payload)
+        if cache_mode != CACHE_OFF and result_cache.cache_enabled():
+            store = result_cache.ResultCache()
+            if kind in _ARTIFACT_KINDS:
+                out["stored"] = store.exists(kind, key)
+            elif kind in _PAYLOAD_KINDS:
+                store.store_stage(kind, key, payload)
                 out["stored"] = True
-        elif cache_mode in (CACHE_ON, CACHE_REFRESH):
-            result_cache.ResultCache().store_result(
-                params["experiment_id"],
-                result_digest,
-                ExperimentResult.from_json_dict(payload),
-            )
-            out["stored"] = True
+            else:
+                store.store_result(result_digest, ExperimentResult.from_json_dict(payload))
+                out["stored"] = True
     out["elapsed_s"] = time.perf_counter() - started
     out["simulation"] = telemetry.counters_snapshot()
     return out
@@ -558,10 +483,12 @@ def execute_suite(
 
     for index, (experiment_id, run_kwargs) in enumerate(tasks):
         experiment = by_id(experiment_id)
-        result_digest = store.result_key(experiment_id, run_kwargs)
+        result_digest = result_cache.digest(
+            "result", experiment_id=experiment_id, run_kwargs=dict(run_kwargs)
+        )
         if cache_mode == CACHE_ON:
             probe_started = time.perf_counter()
-            cached = store.load_result(experiment_id, result_digest)
+            cached = store.load_result(result_digest)
             if cached is not None:
                 # Whole result cached: serve it without touching the
                 # subgraph.
@@ -602,21 +529,18 @@ def execute_suite(
     failed: Dict[str, str] = {}  # key -> originating traceback
     done: set = set()
 
-    # Probe the stages/ tier for intermediates (terminals live in the
-    # results/ tier and were probed per experiment above; under
-    # --refresh they must recompute, which is exactly what falls out of
-    # never probing them here).
+    # Probe the store for intermediates (terminal results were probed
+    # per experiment above; under --refresh they must recompute, which
+    # is exactly what falls out of never probing them here).
     if cache_mode != CACHE_OFF:
         for key, stage in stages.items():
-            if stage.kind in _INTERMEDIATE_KINDS:
-                # Memory tier first (service hot path: no stat, no JSON
-                # parse), then the stages/ disk tier, which backfills
-                # the memory tier on a hit.
-                cached = _stage_memory_get(stage.kind, key)
-                if cached is None:
-                    cached = store.load_stage(stage.kind, key)
-                    if cached is not None:
-                        _stage_memory_put(stage.kind, key, cached)
+            if stage.kind in _ARTIFACT_KINDS:
+                if store.exists(stage.kind, key):
+                    payloads[key] = None
+                    status[key] = "hit"
+                    done.add(key)
+            elif stage.kind in _PAYLOAD_KINDS:
+                cached = store.load_stage(stage.kind, key)
                 if cached is not None:
                     payloads[key] = cached
                     status[key] = "hit"
@@ -662,8 +586,6 @@ def execute_suite(
         payloads[key] = out["payload"]
         status[key] = "exec"
         done.add(key)
-        if stages[key].kind in _INTERMEDIATE_KINDS and cache_mode != CACHE_OFF:
-            _stage_memory_put(stages[key].kind, key, out["payload"])
         ready: List[str] = []
         for dependent in dependents.get(key, ()):
             unmet[dependent] -= 1

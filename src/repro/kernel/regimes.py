@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.common import analytic as analytic_backend
 from repro.common import ledger as common_ledger
 from repro.common.bulk import bulk_enabled
-from repro.common.errors import SimulationError
+from repro.common.errors import AnalyticPreconditionError
 from repro.common.memo import memo_insert
 from repro.core.hardware import HardwareDraco
 from repro.core.software import (
@@ -108,8 +108,8 @@ class CheckingRegime(abc.ABC):
 
     def analytic_verify(self) -> None:
         """Post-run hook for exact analytic replays: raise
-        :class:`~repro.common.errors.SimulationError` if a precondition
-        the plan relied on turned out not to hold."""
+        :class:`~repro.common.errors.AnalyticPreconditionError` if a
+        precondition the plan relied on turned out not to hold."""
 
     def analytic_context_switch(self) -> None:
         """Fire one context switch by hand (the sampled plan's transient
@@ -354,10 +354,15 @@ class DracoSwRegime(CheckingRegime):
     def analytic_plan(self, windows, work_cycles: float = 0.0):
         """Exact, under one precondition: the VAT suffers no cuckoo
         evictions, making it an insert-only value-keyed map whose
-        outcomes do not depend on event interleaving.  That holds by
-        construction — the OS sizes each per-syscall table at twice the
-        profile's argument-set count (load factor <= 0.5) — and
-        :meth:`analytic_verify` fails the run loudly if it ever breaks.
+        outcomes do not depend on event interleaving.  The OS sizes
+        each per-syscall table at twice the profile's argument-set
+        count (load factor <= 0.5), which makes evictions rare but not
+        impossible: a cuckoo insert can still exhaust its kick budget.
+        So :meth:`analytic_verify` checks the eviction counter after
+        the run and raises
+        :class:`~repro.common.errors.AnalyticPreconditionError` if it
+        moved; :meth:`repro.experiments.runner.WorkloadContext.evaluate`
+        then repeats the run on the exact kernels with a fresh regime.
         """
         self._analytic_evictions_before = self.draco.tables.vat.structure_stats()[
             "evictions"
@@ -368,7 +373,7 @@ class DracoSwRegime(CheckingRegime):
         evictions = self.draco.tables.vat.structure_stats()["evictions"]
         before = getattr(self, "_analytic_evictions_before", 0)
         if evictions != before:
-            raise SimulationError(
+            raise AnalyticPreconditionError(
                 f"{self.name}: VAT evicted {evictions - before} entries during "
                 "an analytic exact replay — the no-eviction precondition is "
                 "violated; rerun with REPRO_ANALYTIC=0"

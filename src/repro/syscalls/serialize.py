@@ -2,7 +2,7 @@
 
 Recorded traces (synthetic or strace-derived) can be persisted and
 replayed deterministically — the substrate for regression corpora, for
-sharing workloads between machines, and for the on-disk context cache
+sharing workloads between machines, and for the on-disk artifact store
 (``repro.experiments.cache``).
 
 Two on-disk versions exist, both JSONL with a leading header line:
@@ -20,14 +20,17 @@ Two on-disk versions exist, both JSONL with a leading header line:
   for re-loaded traces, exactly as it is for generated ones.
 
 :func:`loads` accepts either version; :func:`dumps` writes version 1
-unless asked for 2.
+unless asked for 2.  :func:`rle_records` and :func:`from_records` are
+the same version-2 content as JSON values rather than text, for
+containers (the artifact store) that embed a trace in a larger JSON
+document.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Any, Iterable, List, Sequence, Tuple, Union
 
 from repro.common.errors import ReproError
 from repro.syscalls.events import SyscallEvent, SyscallTrace
@@ -42,8 +45,8 @@ class TraceFormatError(ReproError):
     """The file is not a valid repro trace."""
 
 
-def _event_record(event: SyscallEvent) -> str:
-    return json.dumps({"sid": event.sid, "args": list(event.args), "pc": event.pc})
+def _event_record(event: SyscallEvent) -> dict:
+    return {"sid": event.sid, "args": list(event.args), "pc": event.pc}
 
 
 def dumps(trace: SyscallTrace, version: int = FORMAT_VERSION) -> str:
@@ -55,10 +58,16 @@ def dumps(trace: SyscallTrace, version: int = FORMAT_VERSION) -> str:
             )
         ]
         for event in trace:
-            lines.append(_event_record(event))
+            lines.append(json.dumps(_event_record(event)))
         return "\n".join(lines) + "\n"
     if version != FORMAT_VERSION_RLE:
         raise TraceFormatError(f"cannot write version {version}")
+    return "\n".join(json.dumps(record) for record in rle_records(trace)) + "\n"
+
+
+def rle_records(trace: SyscallTrace) -> List[Any]:
+    """The version-2 file as JSON values, one per line: the header, the
+    distinct-event table in first-occurrence order, then the runs."""
     index_of: dict = {}
     table: list = []
     runs: list = []
@@ -68,20 +77,14 @@ def dumps(trace: SyscallTrace, version: int = FORMAT_VERSION) -> str:
             index = len(table)
             index_of[event] = index
             table.append(event)
-        runs.append((index, count))
-    lines = [
-        json.dumps(
-            {
-                "format": FORMAT_NAME,
-                "version": FORMAT_VERSION_RLE,
-                "count": len(trace),
-                "distinct": len(table),
-            }
-        )
-    ]
-    lines.extend(_event_record(event) for event in table)
-    lines.extend(json.dumps([index, count]) for index, count in runs)
-    return "\n".join(lines) + "\n"
+        runs.append([index, count])
+    header = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION_RLE,
+        "count": len(trace),
+        "distinct": len(table),
+    }
+    return [header, *map(_event_record, table), *runs]
 
 
 def _parse_event(record) -> SyscallEvent:
@@ -97,7 +100,7 @@ def _iter_records(lines, start):
 
     A trace file is thousands of tiny JSON values; parsing them with one
     batched C-level ``json.loads`` is several times faster than a call
-    per line, and the context-cache load path sits on every warm run.
+    per line, and the trace load path sits on every warm run.
     When the batch parse fails (some line is not valid JSON) the
     per-line loop reparses purely to point the error at the offending
     line.
@@ -116,9 +119,9 @@ def _iter_records(lines, start):
             raise TraceFormatError(f"bad record on line {number}: {error}") from error
 
 
-def _loads_v1(lines, declared) -> SyscallTrace:
+def _loads_v1(numbered: Iterable[Tuple[int, Any]], declared) -> SyscallTrace:
     events = []
-    for number, record in _iter_records(lines, start=2):
+    for number, record in numbered:
         try:
             events.append(_parse_event(record))
         except (KeyError, TypeError, ValueError) as error:
@@ -130,12 +133,14 @@ def _loads_v1(lines, declared) -> SyscallTrace:
     return SyscallTrace(events)
 
 
-def _loads_v2(lines, declared, distinct) -> SyscallTrace:
-    if not isinstance(distinct, int) or distinct < 0 or distinct > len(lines):
+def _loads_v2(
+    numbered: Iterable[Tuple[int, Any]], records: int, declared, distinct
+) -> SyscallTrace:
+    if not isinstance(distinct, int) or distinct < 0 or distinct > records:
         raise TraceFormatError(f"bad distinct-event count {distinct!r}")
     table = []
     events = []
-    for number, record in _iter_records(lines, start=2):
+    for number, record in numbered:
         if len(table) < distinct:
             try:
                 table.append(_parse_event(record))
@@ -171,14 +176,26 @@ def loads(text: str) -> SyscallTrace:
         header = json.loads(lines[0])
     except json.JSONDecodeError as error:
         raise TraceFormatError(f"bad header: {error}") from error
+    return _from_header(header, _iter_records(lines[1:], start=2), len(lines) - 1)
+
+
+def from_records(records: Sequence[Any]) -> SyscallTrace:
+    """Rebuild a trace from :func:`rle_records` output (or the values of
+    a version-1 file), validating it exactly like :func:`loads`."""
+    if not isinstance(records, (list, tuple)) or not records:
+        raise TraceFormatError("empty trace")
+    return _from_header(records[0], enumerate(records[1:], start=2), len(records) - 1)
+
+
+def _from_header(header, numbered: Iterable[Tuple[int, Any]], records: int) -> SyscallTrace:
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise TraceFormatError("not a repro trace file")
     version = header.get("version")
     declared = header.get("count")
     if version == FORMAT_VERSION:
-        return _loads_v1(lines[1:], declared)
+        return _loads_v1(numbered, declared)
     if version == FORMAT_VERSION_RLE:
-        return _loads_v2(lines[1:], declared, header.get("distinct"))
+        return _loads_v2(numbered, records, declared, header.get("distinct"))
     raise TraceFormatError(f"unsupported version {version}")
 
 

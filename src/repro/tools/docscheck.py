@@ -11,11 +11,11 @@ Checks:
 1. **Dead links** — every relative ``[text](target)`` must resolve to
    an existing file (anchors are stripped; ``http(s):``/``mailto:``
    links and pure in-page anchors are skipped).
-2. **Kill-switch coverage** — every ``REPRO_[A-Z_]+`` environment
-   variable referenced under ``src/repro`` must appear in the
-   ``docs/PERFORMANCE.md`` kill-switch matrix, and every switch the
-   matrix documents must still exist in the source tree (no stale
-   rows).
+2. **Kill-switch coverage** — every switch declared in
+   :data:`repro.common.knobs.KNOBS` must have a row in the
+   ``docs/PERFORMANCE.md`` kill-switch matrix, and every ``REPRO_*``
+   name the docs mention (matrix rows included) must still be declared
+   there (no stale rows or references).
 
 Usage::
 
@@ -31,6 +31,8 @@ import sys
 from pathlib import Path
 from typing import Iterable, List, Set, Tuple
 
+from repro.common import knobs
+
 #: Markdown files checked for dead links, relative to the repo root.
 DOC_GLOBS = ("README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/*.md")
 
@@ -39,6 +41,8 @@ MATRIX_DOC = "docs/PERFORMANCE.md"
 
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _SWITCH = re.compile(r"\bREPRO_[A-Z][A-Z_]*\b")
+#: A matrix row: a table line whose first cell is one backticked switch.
+_MATRIX_ROW = re.compile(r"^\|\s*`(REPRO_[A-Z][A-Z_]*)`\s*\|", re.MULTILINE)
 _SKIP_SCHEMES = ("http://", "https://", "mailto:")
 
 
@@ -77,21 +81,21 @@ def _switches_in(paths: Iterable[Path]) -> Set[str]:
 
 
 def check_switches(root: Path) -> Tuple[List[str], Set[str], Set[str]]:
-    """(problems, switches in source, switches in the matrix doc)."""
-    source_switches = _switches_in((root / "src" / "repro").rglob("*.py"))
+    """(problems, declared switch names, switches with a matrix row)."""
+    names = {knob.name for knob in knobs.KNOBS}
     matrix_path = root / MATRIX_DOC
     if not matrix_path.exists():
-        return ([f"{MATRIX_DOC} is missing"], source_switches, set())
-    matrix_switches = _switches_in([matrix_path])
+        return ([f"{MATRIX_DOC} is missing"], names, set())
+    rows = set(_MATRIX_ROW.findall(matrix_path.read_text(encoding="utf-8")))
     problems = [
-        f"{MATRIX_DOC}: missing switch {name}"
-        for name in sorted(source_switches - matrix_switches)
+        f"{MATRIX_DOC}: missing switch {name}" for name in sorted(names - rows)
     ]
     problems += [
-        f"{MATRIX_DOC}: stale switch {name} (not in src/repro)"
-        for name in sorted(matrix_switches - source_switches)
+        f"{doc.relative_to(root)}: stale switch {name} (not in repro.common.knobs)"
+        for doc in _doc_files(root)
+        for name in sorted(_switches_in([doc]) - names)
     ]
-    return (problems, source_switches, matrix_switches)
+    return (problems, names, rows)
 
 
 def run_checks(root: Path) -> List[str]:
@@ -113,11 +117,11 @@ def main(argv=None) -> int:
 
     docs = _doc_files(root)
     problems = run_checks(root)
-    _, source_switches, matrix_switches = check_switches(root)
+    _, declared, rows = check_switches(root)
     print(
         f"docscheck: {len(docs)} docs, "
-        f"{len(source_switches)} REPRO_* switches in source, "
-        f"{len(matrix_switches & source_switches)} documented in {MATRIX_DOC}"
+        f"{len(declared)} REPRO_* switches in repro.common.knobs, "
+        f"{len(rows & declared)} documented in {MATRIX_DOC}"
     )
     if problems:
         for problem in problems:

@@ -208,16 +208,42 @@ def test_scheduler_backend_seam_degrades_identically(monkeypatch):
     assert snapshot("analytic") == snapshot("bulk")
 
 
-def test_result_cache_keyed_on_analytic(monkeypatch, tmp_path):
+def test_vat_eviction_falls_back_to_exact_kernels(monkeypatch):
+    """A draco-sw exact replay whose VAT evicts an entry breaks the
+    exact tier's precondition; evaluate() must repeat the run on the
+    exact kernels and match ``REPRO_ANALYTIC=0`` (fig11/fig17 used to
+    fail on this seed)."""
+    from repro.common.errors import AnalyticPreconditionError
+    from repro.experiments import runner
+    from repro.kernel.simulator import run_trace
+
+    runner.reset_context_memos()
+    ctx = runner.get_context("elasticsearch", seed=606397221)
+    regimes = ("draco-sw-complete", "draco-sw-complete-2x")
+    with pytest.raises(AnalyticPreconditionError):
+        run_trace(
+            ctx.trace,
+            ctx.make_regime(regimes[0]),
+            work_cycles_per_syscall=ctx.work_cycles,
+            syscall_base_cycles=ctx.syscall_base_cycles,
+        )
+    analytic = {name: ctx.evaluate(name) for name in regimes}
+    monkeypatch.setenv("REPRO_ANALYTIC", "0")
+    runner.reset_context_memos()
+    ctx = runner.get_context("elasticsearch", seed=606397221)
+    assert {name: ctx.evaluate(name) for name in regimes} == analytic
+    runner.reset_context_memos()
+
+
+def test_result_cache_keyed_on_analytic(monkeypatch):
     # Toggling REPRO_ANALYTIC must never serve a result computed by the
     # other tier from the on-disk cache: the digest carries the tier.
     from repro.experiments import cache
 
-    store = cache.ResultCache(root=tmp_path)
     monkeypatch.setenv("REPRO_ANALYTIC", "1")
-    on = store.result_key("fig12", {"events": 100})
+    on = cache.digest("result", experiment_id="fig12", run_kwargs={"events": 100})
     monkeypatch.setenv("REPRO_ANALYTIC", "0")
-    off = store.result_key("fig12", {"events": 100})
+    off = cache.digest("result", experiment_id="fig12", run_kwargs={"events": 100})
     assert on != off
 
 

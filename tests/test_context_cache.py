@@ -1,26 +1,31 @@
-"""Persistent context cache: disk round-trips, corruption fallback,
-sound memo keys, and byte-identical Seccomp replay differentials.
+"""The artifact store: every kind's round trip and corruption cases,
+context rebuilds, sound memo keys, and byte-identical Seccomp replay
+differentials.
 
 The contract under test (docs/EXPERIMENT_GUIDE.md): traces, profile
-bundles, filter sweeps, and calibration values persist across processes
-keyed by content digests; a corrupt or stale entry always reads as a
-miss and the caller rebuilds; and every replayed Seccomp evaluation is
-byte-identical to the exact-kernel run it replaces — with
-``REPRO_CONTEXT_CACHE=0`` as the kill switch that forces the real path.
+bundles, filter sweeps, calibration values, stage payloads and results
+persist across processes in one store keyed by content digests; a
+missing, corrupt or stale entry of any kind always reads as a miss and
+the caller rebuilds; and every replayed Seccomp evaluation is
+byte-identical to the exact-kernel run it replaces — with the store
+off (``cache_overrides(disable=True)``) forcing the real path.
 """
 
 import gc
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
 
-from repro.common import telemetry
+from repro.bpf import compile as bpf_compile
+from repro.common import storage, telemetry
 from repro.common.memo import memo_insert
 from repro.common.rng import DEFAULT_SEED
 from repro.cpu.params import DEFAULT_SW_COSTS
 from repro.experiments import cache as result_cache
 from repro.experiments import fig2_seccomp_overhead, runner, seccomp_replay
+from repro.experiments.results import ExperimentResult
 from repro.kernel.regimes import SeccompRegime
 from repro.seccomp.toolkit import bundle_from_payload, bundle_to_payload
 from repro.workloads.catalog import (
@@ -80,72 +85,157 @@ class TestMemoInsert:
         assert runner._docker_profile_for(table) is runner._docker_profile_for(table)
 
 
+#: Every envelope kind of the store.
+STORE_KINDS = ("trace", "bundle", "sweep", "calibration", "eval", "fleet-eval", "result")
+
+
+def _codec(store, kind):
+    """``(write, read, expected)`` for one sample entry of *kind*,
+    through the kind's own ``store_*``/``load_*`` codec."""
+    if kind == "trace":
+        from repro.workloads.generator import generate_trace
+
+        trace = generate_trace(CATALOG[WORKLOAD], 200, seed=DEFAULT_SEED)
+        return (
+            lambda d: store.store_trace_context(d, trace),
+            lambda d: (lambda t: None if t is None else list(t))(store.load_trace_context(d)),
+            list(trace),
+        )
+    if kind == "calibration":
+        return (
+            lambda d: store.store_calibration(d, 512.5),
+            store.load_calibration,
+            512.5,
+        )
+    if kind == "result":
+        result = ExperimentResult(
+            experiment_id="Fig 13", title="t", columns=("a",), rows=((1,),)
+        )
+        return (lambda d: store.store_result(d, result), store.load_result, result)
+    if kind in ("eval", "fleet-eval"):
+        return (
+            lambda d: store.store_stage(kind, d, {"total_cycles": 42}),
+            lambda d: store.load_stage(kind, d),
+            {"total_cycles": 42},
+        )
+    return (
+        lambda d: store.store_context(kind, d, {"returns": [0, 1]}),
+        lambda d: store.load_context(kind, d),
+        {"returns": [0, 1]},
+    )
+
+
+def _rewrite(store, kind, digest, **changes):
+    path = store.path(kind, digest)
+    document = json.loads(path.read_text())
+    document.update(changes)
+    for key in [k for k, v in changes.items() if v is None]:
+        del document[key]
+    path.write_text(json.dumps(document))
+
+
 class TestContextDocuments:
+    """One test per case, each over every kind of the store."""
+
     def test_round_trip(self, cache_dir):
         store = result_cache.ResultCache()
-        store.store_context("sweep", "abc123", {"returns": [0, 1]})
-        assert store.load_context("sweep", "abc123") == {"returns": [0, 1]}
+        for kind in STORE_KINDS:
+            write, read, expected = _codec(store, kind)
+            write("abc123")
+            assert read("abc123") == expected, kind
+            assert store.exists(kind, "abc123"), kind
+
+    def test_absent_is_a_miss(self, cache_dir):
+        store = result_cache.ResultCache()
+        for kind in STORE_KINDS:
+            _, read, _ = _codec(store, kind)
+            assert read("absent") is None, kind
+            assert not store.exists(kind, "absent"), kind
 
     def test_wrong_kind_is_a_miss(self, cache_dir):
+        """An envelope of one kind copied under another kind's path."""
         store = result_cache.ResultCache()
-        store.store_context("sweep", "abc123", {"x": 1})
-        assert store.load_context("bundle", "abc123") is None
+        for kind, other in zip(STORE_KINDS, STORE_KINDS[1:] + STORE_KINDS[:1]):
+            write, _, _ = _codec(store, other)
+            write("abc123")
+            target = store.path(kind, "wrong")
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(store.path(other, "abc123"), target)
+            _, read, _ = _codec(store, kind)
+            assert read("wrong") is None, kind
 
     def test_version_mismatch_is_a_miss(self, cache_dir):
         store = result_cache.ResultCache()
-        store.store_context("sweep", "abc123", {"x": 1})
-        path = store.context_path("sweep", "abc123")
-        document = json.loads(path.read_text())
-        document["version"] = result_cache.CONTEXT_FORMAT_VERSION + 1
-        path.write_text(json.dumps(document))
-        assert store.load_context("sweep", "abc123") is None
+        for kind in STORE_KINDS:
+            write, read, _ = _codec(store, kind)
+            write("abc123")
+            _rewrite(store, kind, "abc123", version=result_cache.STORE_FORMAT_VERSION + 1)
+            assert read("abc123") is None, kind
 
     def test_missing_data_key_is_a_miss(self, cache_dir):
         store = result_cache.ResultCache()
-        path = store.context_path("sweep", "abc123")
-        path.parent.mkdir(parents=True)
-        path.write_text(
-            json.dumps(
-                {
-                    "format": "repro-context",
-                    "version": result_cache.CONTEXT_FORMAT_VERSION,
-                    "kind": "sweep",
-                }
-            )
-        )
-        assert store.load_context("sweep", "abc123") is None
+        for kind in STORE_KINDS:
+            write, read, _ = _codec(store, kind)
+            write("abc123")
+            _rewrite(store, kind, "abc123", data=None)
+            assert read("abc123") is None, kind
 
     def test_garbage_and_truncation_are_misses(self, cache_dir):
         store = result_cache.ResultCache()
-        store.store_context("sweep", "abc123", {"x": 1})
-        path = store.context_path("sweep", "abc123")
-        path.write_text(path.read_text()[:10])
-        assert store.load_context("sweep", "abc123") is None
-        path.write_text("\x00 not json at all")
-        assert store.load_context("sweep", "abc123") is None
+        for kind in STORE_KINDS:
+            write, read, _ = _codec(store, kind)
+            write("abc123")
+            path = store.path(kind, "abc123")
+            path.write_text(path.read_text()[:10])
+            assert read("abc123") is None, kind
+            path.write_text("\x00 not json at all")
+            assert read("abc123") is None, kind
 
     def test_trace_corruption_is_a_miss(self, cache_dir):
-        from repro.workloads.generator import generate_trace
-
+        """The serializer case: a valid envelope around a bad trace."""
         store = result_cache.ResultCache()
-        trace = generate_trace(CATALOG[WORKLOAD], 200, seed=DEFAULT_SEED)
-        store.store_trace_context("t1", trace)
-        loaded = store.load_trace_context("t1")
-        assert loaded is not None and len(loaded) == 200
-        path = store.context_path("trace", "t1", suffix=".jsonl")
-        text = path.read_text()
-        path.write_text(text.splitlines()[0] + "\n")  # header only
-        assert store.load_trace_context("t1") is None
-        path.write_text("garbage\n" + text)
-        assert store.load_trace_context("t1") is None
-        assert store.load_trace_context("absent") is None
+        write, read, _ = _codec(store, "trace")
+        write("t1")
+        records = json.loads(store.path("trace", "t1").read_text())["data"]
+        for bad in (
+            records[:1],  # header only
+            ["garbage"] + records[1:],  # not a trace header
+            records[:-1] + [[10**6, 1]],  # a run naming no table entry
+            "not a record list",
+        ):
+            _rewrite(store, "trace", "t1", data=bad)
+            assert read("t1") is None, bad
 
     def test_calibration_garbage_is_a_miss(self, cache_dir):
         store = result_cache.ResultCache()
         store.store_calibration("c1", 512.5)
         assert store.load_calibration("c1") == 512.5
-        store.calibration_path("c1").write_text('"oops"')
-        assert store.load_calibration("c1") is None
+        for bad in ("oops", True, [1.0]):
+            _rewrite(store, "calibration", "c1", data=bad)
+            assert store.load_calibration("c1") is None, bad
+
+    def test_bpf_code_checksum_case(self, cache_dir):
+        """Compiled filter code keeps its own kind and checksum: a torn
+        or tampered entry is recompiled, never unmarshalled."""
+        source = "def _s0(st, w):\n    return None\n"
+        code = bpf_compile._compile_filter_source(source)
+        path = bpf_compile._code_cache_path(source)
+        assert path.is_file() and path.parent.parent.name == "bpf-code"
+        assert path.parents[2] == cache_dir / "store"
+        blob = path.read_bytes()
+        path.write_bytes(blob[:32] + b"\x00" + blob[33:])  # checksum mismatch
+        telemetry.reset_counters()
+        assert bpf_compile._compile_filter_source(source).co_code == code.co_code
+        counters = telemetry.counters_snapshot()["context_cache"]["bpf-code"]
+        assert counters == {"miss": 1, "store": 1}
+        assert path.read_bytes() == blob  # rewritten intact
+
+    def test_spec_key_never_serves_a_non_catalog_spec(self):
+        spec = CATALOG[WORKLOAD]
+        twin = replace(spec)  # same name and fields, not the catalog object
+        assert result_cache.spec_key(spec) == WORKLOAD
+        assert result_cache.spec_key(twin) != WORKLOAD
+        assert runner.trace_digest(spec, 100, 1) != runner.trace_digest(twin, 100, 1)
 
 
 def _corrupt(path, mode):
@@ -155,18 +245,15 @@ def _corrupt(path, mode):
     elif mode == "garbage":
         path.write_text("\x00\x01 definitely not JSON {")
     else:  # "partial": a structurally valid but incomplete document
-        if path.suffix == ".jsonl":
-            path.write_text(text.splitlines()[0] + "\n")
-        else:
-            path.write_text(
-                json.dumps(
-                    {
-                        "format": "repro-context",
-                        "version": result_cache.CONTEXT_FORMAT_VERSION,
-                        "kind": path.parent.name,
-                    }
-                )
+        path.write_text(
+            json.dumps(
+                {
+                    "format": "repro-store",
+                    "version": result_cache.STORE_FORMAT_VERSION,
+                    "kind": path.parent.name,
+                }
             )
+        )
 
 
 class TestCorruptionFallback:
@@ -175,11 +262,7 @@ class TestCorruptionFallback:
         """Every context artifact corrupted on disk: the next run must
         fall back to a rebuild (never crash, never serve wrong data)."""
         reference = _evaluate_all()
-        paths = [
-            p
-            for p in cache_dir.rglob("*")
-            if p.is_file() and p.suffix in (".json", ".jsonl")
-        ]
+        paths = list((cache_dir / "store").rglob("*.json"))
         # Trace, bundle, and sweep context entries plus the calibration
         # value must all be on disk before the corruption pass.
         assert {p.parent.name for p in paths} >= {
@@ -189,10 +272,6 @@ class TestCorruptionFallback:
             "calibration",
         }
         for path in paths:
-            if mode == "truncated" and path.parent.name == "calibration":
-                # A truncated bare JSON number can still parse as a
-                # (wrong) number; atomic writes are the guard there.
-                continue
             _corrupt(path, mode)
         runner.reset_context_memos()
         assert _evaluate_all() == reference
@@ -252,32 +331,37 @@ class TestCalibrationMemoKey:
 
 class TestEvalMemoEnvFlip:
     def test_flip_mid_process_does_not_serve_stale(self, cache_dir, monkeypatch):
-        """Flipping ``REPRO_CONTEXT_CACHE`` mid-process must re-run the
-        evaluation (fresh object), and the fresh run must be
-        byte-identical to the replayed one."""
-        monkeypatch.setenv(result_cache.CONTEXT_CACHE_ENV, "1")
+        """Turning the store off mid-process (the environment switch or
+        a context-local override) must re-run the evaluation (fresh
+        object) on the exact kernels, byte-identical to the replayed
+        one."""
         ctx = runner.get_context(WORKLOAD, events=EVENTS)
         replayed = ctx.evaluate(REGIME_COMPLETE)
         assert seccomp_replay.replays_served > 0
-        monkeypatch.setenv(result_cache.CONTEXT_CACHE_ENV, "0")
+        served = seccomp_replay.replays_served
+        monkeypatch.setenv(result_cache.CACHE_DISABLE_ENV, "1")
         exact = ctx.evaluate(REGIME_COMPLETE)
         assert exact is not replayed  # memo keyed on the env knobs
         assert exact == replayed
-        monkeypatch.setenv(result_cache.CONTEXT_CACHE_ENV, "1")
+        monkeypatch.delenv(result_cache.CACHE_DISABLE_ENV)
+        with storage.cache_overrides(disable=True):
+            overridden = ctx.evaluate(REGIME_COMPLETE)
+        assert overridden is not replayed and overridden == replayed
+        assert seccomp_replay.replays_served == served  # both ran exactly
         assert ctx.evaluate(REGIME_COMPLETE) is replayed
 
 
 class TestReplayDifferential:
     @pytest.mark.parametrize("workload", ["nginx", "pipe-ipc"])
-    def test_replay_matches_exact_kernels(self, cache_dir, monkeypatch, workload):
+    def test_replay_matches_exact_kernels(self, cache_dir, workload):
         """The acceptance bar: results byte-identical with the context
         cache on (replay path) and off (exact kernels) for every
         regime."""
         with_cache = _evaluate_all(workload)
         assert seccomp_replay.replays_served > 0
         runner.reset_context_memos()
-        monkeypatch.setenv(result_cache.CONTEXT_CACHE_ENV, "0")
-        without_cache = _evaluate_all(workload)
+        with storage.cache_overrides(disable=True):
+            without_cache = _evaluate_all(workload)
         assert seccomp_replay.replays_served == 0
         assert with_cache == without_cache
 
@@ -310,8 +394,8 @@ class TestDiskRoundTrip:
         report = telemetry.RunReport(records=[record])
         assert report.context_cache()["sweep"]["store"] == 3
         summary = report.format_summary()
-        assert "context cache:" in summary
-        assert "REPRO_CONTEXT_CACHE" in summary
+        assert "context artifacts:" in summary
+        assert "sweep 0/3" in summary
 
 
 class TestBundlePayload:
@@ -361,8 +445,8 @@ class TestFig2SharedReplay:
         assert seccomp_replay.replays_served == 5 * len(workloads)
 
         runner.reset_context_memos()
-        monkeypatch.setenv(result_cache.CONTEXT_CACHE_ENV, "0")
-        without_cache = fig2_seccomp_overhead.run(events=EVENTS, workloads=workloads)
+        with storage.cache_overrides(disable=True):
+            without_cache = fig2_seccomp_overhead.run(events=EVENTS, workloads=workloads)
         # repr-compare: the paper-target columns carry NaN placeholders,
         # which never compare equal to themselves.
         assert repr(with_cache.rows) == repr(without_cache.rows)

@@ -72,12 +72,12 @@ class TestResultCache:
     def test_no_cache_never_touches_disk(self):
         run = engine.run_suite(("table3",), jobs=1, cache_mode=engine.CACHE_OFF)
         assert run.report.records[0].cache == "off"
-        assert not (result_cache.cache_root() / "results").exists()
+        assert not result_cache.cache_root().exists()
 
     def test_torn_entry_is_a_miss(self):
         run = engine.run_suite(("table3",), jobs=1)
         digest = run.report.records[0].params_digest
-        path = result_cache.ResultCache().result_path("table3", digest)
+        path = result_cache.ResultCache().path("result", digest)
         path.write_text("{ not json")
         again = engine.run_suite(("table3",), jobs=1)
         assert again.report.records[0].cache == "miss"
@@ -99,13 +99,14 @@ class TestCalibrationCache:
 
         _cached_context.cache_clear()
         first = build_context(CATALOG["pipe-ipc"], events=2000)
-        calibs = list((result_cache.cache_root() / "calibration").glob("*.json"))
+        store = result_cache.cache_root() / "store" / "calibration"
+        calibs = list(store.glob("*.json"))
         assert calibs, "calibration value should be written to disk"
         second = build_context(CATALOG["pipe-ipc"], events=2000)
         assert second.work_cycles == first.work_cycles
         # a different trace length must not be served the same value
         other = build_context(CATALOG["pipe-ipc"], events=2500)
-        assert len(list((result_cache.cache_root() / "calibration").glob("*.json"))) > len(
+        assert len(list(store.glob("*.json"))) > len(
             calibs
         ) or other.work_cycles != first.work_cycles
 
@@ -152,7 +153,7 @@ class TestFailureIsolation:
         engine.run_suite(
             ("fig13",), jobs=1, run_overrides={"fig13": {"events": 0}}
         )
-        digest_paths = list((result_cache.cache_root() / "results").rglob("*.json"))
+        digest_paths = list((result_cache.cache_root() / "store" / "result").rglob("*.json"))
         assert digest_paths == []
 
     def test_unknown_id_raises_up_front(self):

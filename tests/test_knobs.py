@@ -4,19 +4,15 @@ each switch's effect decides which identities it joins."""
 import pytest
 
 from repro.common import knobs
+from repro.experiments import cache as result_cache
 from repro.experiments import pool as warm_pool
-from repro.experiments import stages
 from repro.experiments.service import ExperimentService
 
 
-def _stage_digest():
-    return stages._stage_digest("eval", {"workload": "nginx"}, ())
-
-
 def _identities():
-    service = ExperimentService(jobs=1, stage_memory=0)
+    service = ExperimentService(jobs=1)
     return (
-        _stage_digest(),
+        result_cache.digest("eval", params={"workload": "nginx"}, deps=[]),
         warm_pool.pool_key(2),
         service.request_digest({"experiments": ["table2"]}),
     )
@@ -24,7 +20,7 @@ def _identities():
 
 def test_names_are_unique_and_prefixed():
     names = [knob.name for knob in knobs.KNOBS]
-    assert len(set(names)) == len(names) == 9
+    assert len(set(names)) == len(names) == 8
     assert all(name.startswith("REPRO_") for name in names)
     assert {knob.effect for knob in knobs.KNOBS} == {
         knobs.COMPUTE, knobs.STORAGE, knobs.PLACEMENT

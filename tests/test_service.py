@@ -1,6 +1,6 @@
 """Warm pool + experiment service: differential identity, pool
-lifecycle, explicit cache threading, single-flight coalescing, watch
-invalidation, and the in-memory stage tier.
+lifecycle, explicit cache threading, single-flight coalescing and watch
+invalidation.
 
 The contract under test (docs/PERFORMANCE.md, docs/EXPERIMENT_GUIDE.md):
 ``REPRO_WARM_POOL=1`` (the default) keeps one preloaded worker pool
@@ -8,14 +8,12 @@ alive across suites with markdown output byte-identical to the
 throwaway-pool path; ``run_suite`` never mutates ``os.environ`` and a
 fully-cached parallel run never pays pool dispatch; the service
 coalesces identical concurrent requests into one computation, replays
-identical later requests from its memo, recomputes exactly the dirty
-stage subgraph under watch, and serves hot stage payloads from memory
-without touching the ``stages/`` disk tier.
+identical later requests from its memo and recomputes exactly the dirty
+stage subgraph under watch.
 """
 
 import json
 import os
-import shutil
 import threading
 
 import pytest
@@ -24,7 +22,6 @@ from repro.common import telemetry
 from repro.experiments import cache as result_cache
 from repro.experiments import engine, runner
 from repro.experiments import pool as warm_pool
-from repro.experiments import stages as stage_graph
 from repro.experiments.service import ExperimentService
 
 EVENTS = 1200
@@ -47,8 +44,6 @@ def _clean_serving_state():
     """Tear down the cross-suite serving layers between tests."""
     yield
     warm_pool.shutdown(wait=False)
-    stage_graph.configure_stage_memory(0)
-    stage_graph.reset_stage_memory()
 
 
 def _markdowns(run):
@@ -134,8 +129,8 @@ class TestCacheThreading:
         assert os.environ[result_cache.CACHE_DIR_ENV] == str(cache_dir)
         assert result_cache.CACHE_DISABLE_ENV not in os.environ
         assert run.report.cache_dir == str(other)
-        assert (other / "results").exists()
-        assert not (cache_dir / "results").exists()
+        assert (other / "store" / "result").exists()
+        assert not cache_dir.exists()
 
     def test_cache_off_does_not_set_disable_env(self, cache_dir):
         run = engine.run_suite(
@@ -144,7 +139,7 @@ class TestCacheThreading:
         )
         assert not run.failures
         assert result_cache.CACHE_DISABLE_ENV not in os.environ
-        assert not (cache_dir / "results").exists()
+        assert not cache_dir.exists()
 
     def test_fully_cached_parallel_run_skips_the_pool(self, cache_dir, monkeypatch):
         overrides = {
@@ -296,61 +291,6 @@ class TestWatch:
         missing = tmp_path / "nope.json"
         assert svc.watch_tick(missing, None) is None
         assert svc._watch["runs"] == 0
-
-
-class TestStageMemory:
-    def test_disabled_by_default(self, cache_dir):
-        stats = stage_graph.stage_memory_stats()
-        assert stats["limit"] == 0
-        run = engine.run_suite(
-            ["fig13"], jobs=1, cache_mode=engine.CACHE_ON,
-            run_overrides={"fig13": {"workloads": WORKLOADS, "events": EVENTS}},
-        )
-        assert not run.failures
-        assert stage_graph.stage_memory_stats()["entries"] == 0
-
-    def test_serves_hot_stages_without_the_disk_tier(self, cache_dir):
-        stage_graph.configure_stage_memory(128)
-        overrides = {"fig13": {"workloads": WORKLOADS, "events": EVENTS}}
-        cold = engine.run_suite(
-            ["fig13"], jobs=1, cache_mode=engine.CACHE_ON, run_overrides=overrides
-        )
-        assert not cold.failures
-        assert stage_graph.stage_memory_stats()["stored"] > 0
-
-        # A refresh recomputes the terminal but probes intermediates —
-        # now from memory.
-        refreshed = engine.run_suite(
-            ["fig13"], jobs=1, cache_mode=engine.CACHE_REFRESH, run_overrides=overrides
-        )
-        assert not refreshed.failures
-        hits_after_refresh = stage_graph.stage_memory_stats()["hits"]
-        assert hits_after_refresh > 0
-
-        # Remove the disk tier entirely: the memory tier still serves
-        # every intermediate (no stat, no JSON parse, no rebuild).
-        shutil.rmtree(cache_dir / "stages")
-        again = engine.run_suite(
-            ["fig13"], jobs=1, cache_mode=engine.CACHE_REFRESH, run_overrides=overrides
-        )
-        assert not again.failures
-        counters = again.report.records[0].simulation["stages"]["counters"]
-        assert counters["hit"] > 0
-        assert counters["executed"] == 1  # the terminal analysis only
-        assert _markdowns(cold) == _markdowns(again)
-
-    def test_lru_eviction(self):
-        stage_graph.configure_stage_memory(2)
-        stage_graph._stage_memory_put("eval", "a", 1)
-        stage_graph._stage_memory_put("eval", "b", 2)
-        assert stage_graph._stage_memory_get("eval", "a") == 1  # refresh a
-        stage_graph._stage_memory_put("eval", "c", 3)  # evicts b
-        assert stage_graph._stage_memory_get("eval", "b") is None
-        assert stage_graph._stage_memory_get("eval", "a") == 1
-        assert stage_graph._stage_memory_get("eval", "c") == 3
-        stats = stage_graph.stage_memory_stats()
-        assert stats["evicted"] == 1
-        assert stats["entries"] == 2
 
 
 class TestServiceTelemetry:

@@ -1,14 +1,14 @@
-"""Stage-graph orchestrator: differential identity, stage-tier
-corruption fallback, cross-experiment dedup, and stage-scoped refresh.
+"""Stage-graph orchestrator: differential identity, store corruption
+fallback, cross-experiment dedup, and stage-scoped refresh.
 
 The contract under test (docs/ARCHITECTURE.md): the suite runs as a
 DAG of content-addressed stages whose markdown output is
 byte-identical to calling each registry entry's ``run()`` directly
 with every cache off; identical stages requested by several
-experiments execute exactly once per cold run; a corrupt
-``stages/`` entry always reads as a miss and rebuilds identically; and
-``--refresh`` recomputes only terminal (analysis) stages while serving
-intermediates from disk.
+experiments execute exactly once per cold run; each stage output is
+stored once, and a corrupt store entry always reads as a miss and
+rebuilds identically; and ``--refresh`` recomputes only terminal
+(analysis) stages while serving intermediates from disk.
 """
 
 import json
@@ -19,7 +19,6 @@ from repro.common import storage, telemetry
 from repro.experiments import cache as result_cache
 from repro.experiments import engine, runner
 from repro.experiments.registry import REGISTRY
-from repro.experiments.results import ExperimentResult
 from repro.experiments.stages import EvalPlan, build_plan, monolithic_plan
 
 EVENTS = 1200
@@ -58,13 +57,13 @@ def _stage_detail(record):
 
 
 class TestStageTier:
+    """Stage payloads in the store; the kind-wide cases live in
+    test_context_cache.TestContextDocuments."""
+
     def test_round_trip(self, cache_dir):
         store = result_cache.ResultCache()
         store.store_stage("eval", "abc123", {"total_cycles": 42})
         assert store.load_stage("eval", "abc123") == {"total_cycles": 42}
-
-    def test_missing_is_a_miss(self, cache_dir):
-        assert result_cache.ResultCache().load_stage("eval", "absent") is None
 
     def test_wrong_kind_is_a_miss(self, cache_dir):
         store = result_cache.ResultCache()
@@ -74,33 +73,20 @@ class TestStageTier:
     def test_version_mismatch_is_a_miss(self, cache_dir):
         store = result_cache.ResultCache()
         store.store_stage("eval", "abc123", {"x": 1})
-        path = store.stage_path("eval", "abc123")
+        path = store.path("eval", "abc123")
         document = json.loads(path.read_text())
-        document["version"] = result_cache.STAGE_FORMAT_VERSION + 1
+        document["version"] = result_cache.STORE_FORMAT_VERSION + 1
         path.write_text(json.dumps(document))
         assert store.load_stage("eval", "abc123") is None
 
     def test_garbage_and_truncation_are_misses(self, cache_dir):
         store = result_cache.ResultCache()
         store.store_stage("eval", "abc123", {"x": 1})
-        path = store.stage_path("eval", "abc123")
+        path = store.path("eval", "abc123")
         path.write_text(path.read_text()[:10])
         assert store.load_stage("eval", "abc123") is None
         path.write_text("\x00 not json at all")
         assert store.load_stage("eval", "abc123") is None
-
-    def test_has_result_is_a_stat(self, cache_dir):
-        store = result_cache.ResultCache()
-        digest = store.result_key("fig13", {"events": 100})
-        assert not store.has_result("fig13", digest)
-        store.store_result(
-            "fig13",
-            digest,
-            ExperimentResult(
-                experiment_id="Fig 13", title="t", columns=("a",), rows=((1,),)
-            ),
-        )
-        assert store.has_result("fig13", digest)
 
 
 class TestPlanner:
@@ -213,16 +199,20 @@ class TestDedup:
 class TestCorruptionFallback:
     @pytest.mark.parametrize("mode", ["truncated", "garbage"])
     def test_corrupt_stage_entries_rebuild_identically(self, cache_dir, mode):
-        """Every ``stages/`` entry corrupted on disk: a refresh run must
-        fall back to re-execution (never crash, never serve wrong
-        data) and reproduce the cold result byte-for-byte."""
+        """Every store entry corrupted on disk: a refresh run must fall
+        back to re-execution (never crash, never serve wrong data) and
+        reproduce the cold result byte-for-byte."""
         cold = engine.run_suite(
             HW_SUITE, cache_mode=engine.CACHE_ON, run_overrides=HW_OVERRIDES
         )
         assert not cold.failures
-        paths = list((cache_dir / "stages").rglob("*.json"))
-        # Trace, calibration and eval stages must all be on disk.
-        assert {p.parent.name for p in paths} == {"trace", "calibration", "eval"}
+        store = cache_dir / "store"
+        paths = list(store.rglob("*.json"))
+        assert {p.parent.name for p in paths} >= {"trace", "calibration", "eval", "result"}
+        # Each trace and calibration is stored once, as the artifact
+        # itself: no stage manifest beside it.
+        for kind in ("trace", "calibration"):
+            assert len(list((store / kind).glob("*.json"))) == len(WORKLOADS), kind
         for path in paths:
             if mode == "truncated":
                 path.write_text(path.read_text()[: len(path.read_text()) // 2])
@@ -234,15 +224,23 @@ class TestCorruptionFallback:
         )
         assert not rebuilt.failures
         assert _markdowns(rebuilt) == _markdowns(cold)
-        # Every corrupted intermediate was a miss: re-executed, not hit.
+        # Every corrupted eval was a miss: re-executed, not hit.  Trace
+        # and calibration stages are probed by existence, so they count
+        # as hits; the evaluations rebuilt the torn artifacts instead.
         for outcome in rebuilt.outcomes:
-            assert _stage_counters(outcome.record)["hit"] == 0
+            for row in _stage_detail(outcome.record):
+                assert row["status"] != "hit" or row["kind"] in ("trace", "calibration"), row
+        reader = result_cache.ResultCache()
+        for path in (store / "trace").glob("*.json"):
+            assert reader.load_trace_context(path.stem) is not None
+        for path in (store / "calibration").glob("*.json"):
+            assert reader.load_calibration(path.stem) is not None
 
 
 class TestRefreshScoping:
     def test_warm_refresh_serves_intermediates(self, cache_dir):
         """``--refresh`` is stage-scoped: terminals recompute while
-        trace/calibration/eval stages come from the ``stages/`` tier."""
+        trace/calibration/eval stages come from the store."""
         cold = engine.run_suite(
             HW_SUITE, cache_mode=engine.CACHE_ON, run_overrides=HW_OVERRIDES
         )
@@ -312,6 +310,29 @@ class TestIncrementalInvalidation:
                 "stored": 1,
                 "failed": 0,
             }, eid
+
+
+class TestStoreLayout:
+    def test_cold_run_leaves_only_store_and_runs(self, cache_dir):
+        """Every artifact lands in the one store; the run report beside
+        it in ``runs/``; nothing else under the cache root."""
+        run = engine.run_suite(
+            ("fig2", "fig13", "table2"),
+            cache_mode=engine.CACHE_ON,
+            run_overrides={
+                "fig2": {"workloads": WORKLOADS, "events": EVENTS},
+                "fig13": {"workloads": WORKLOADS, "events": EVENTS},
+            },
+        )
+        assert not run.failures
+        engine.write_report(run)
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["runs", "store"]
+        kinds = {p.name for p in (cache_dir / "store").iterdir()}
+        # bpf-code appears only when this process had not compiled the
+        # filters already (its in-process memo comes first).
+        assert kinds - {"bpf-code"} == {
+            "bundle", "calibration", "eval", "result", "sweep", "trace",
+        }
 
 
 class TestFailureIsolation:
