@@ -23,8 +23,8 @@ simulator itself:
   engine can serve the cached decision.
 
 ``REPRO_FASTPATH=0`` disables the code generator (the interpreter and
-the memo cache still run), which is how the benchmark harness measures
-the speedup.
+the memo cache still run); the differential tests use it as the
+reference side.
 
 Generated filter sources are large enough that ``compile()`` itself is
 a measurable per-process cost (every engine worker pays it afresh), so
@@ -87,7 +87,7 @@ from repro.bpf.insn import (
 from repro.bpf.interpreter import ExecResult
 from repro.bpf.seccomp_data import SeccompData
 from repro.bpf.verifier import verify
-from repro.common import knobs, storage, telemetry
+from repro.common import storage, telemetry
 from repro.common.errors import BpfRuntimeError
 from repro.syscalls.abi import AUDIT_ARCH_X86_64
 
@@ -95,10 +95,6 @@ from repro.syscalls.abi import AUDIT_ARCH_X86_64
 #: the experiment result cache folds this into its digests so stale
 #: cached results are invalidated when the compiler changes.
 COMPILER_VERSION = 1
-
-#: Environment variable: set to ``0``/``off`` to fall back to the
-#: interpreter (decision memoization stays on).
-FASTPATH_ENV = knobs.FASTPATH.name
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -117,11 +113,6 @@ _ST_MEM = 2  # 16 scratch words at indices 2..17
 _ST_RET = 18
 _ST_COUNT = 19
 _ST_SIZE = 20
-
-
-def fastpath_enabled() -> bool:
-    """True unless ``REPRO_FASTPATH`` disables the code generator."""
-    return knobs.FASTPATH.enabled()
 
 
 def words_of(data: SeccompData) -> Tuple[int, ...]:

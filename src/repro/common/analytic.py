@@ -5,7 +5,7 @@ The simulator has three ways to drive a trace through a checking regime
 
 1. **per-event** — the literal ``[check; advance]`` loop;
 2. **RLE bulk** — run-length-encoded consumption with steady-state
-   bulk checks (``repro.common.bulk``), bit-identical to per-event;
+   bulk checks (switch ``REPRO_BULK``), bit-identical to per-event;
 3. **analytic** — this module: whole-window costs computed in closed
    form from the trace's *distinct-event histogram* wherever the
    regime's structure state reaches a steady fixed point.
@@ -80,9 +80,11 @@ structures — a contraction solved by :func:`fixed_point`:
 >>> round(q * (4.0 + 1000.0 / (1.0 + q)), 3)         # q really is a fixed point
 1000.0
 
-Everything here lives in ``repro.common`` so the kernel layer, the
-experiment runner and the benchmarks can consult it without import
-cycles (the same pattern as ``repro.common.bulk``).
+Everything here lives in ``repro.common`` so the kernel layer and the
+experiment runner can consult it without import cycles.  The switch
+itself is :data:`repro.common.knobs.ANALYTIC`: ``REPRO_ANALYTIC=0``
+sends every run to the RLE bulk kernel (or per-event under
+``REPRO_BULK=0``).
 """
 
 from __future__ import annotations
@@ -93,11 +95,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common import knobs
 from repro.common.memo import memo_insert
-
-#: Environment variable: set to ``0``/``off`` to disable the analytic
-#: backend (every run falls back to the RLE bulk kernel, or per-event
-#: under ``REPRO_BULK=0``).
-ANALYTIC_ENV = knobs.ANALYTIC.name
 
 #: Version of the analytic backend's numerical contract.  Bumped when
 #: the closed forms, the sampling plan, or the scaling arithmetic
@@ -148,22 +145,6 @@ HW_MAX_SIM_FRACTION = 0.75
 HW_ERROR_FLOOR = 0.02
 
 
-def analytic_enabled() -> bool:
-    """True unless ``REPRO_ANALYTIC`` disables the analytic backend.
-
-    >>> import os
-    >>> os.environ.pop(ANALYTIC_ENV, None) and None
-    >>> analytic_enabled()
-    True
-    >>> os.environ[ANALYTIC_ENV] = "0"
-    >>> analytic_enabled()
-    False
-    >>> os.environ.pop(ANALYTIC_ENV)
-    '0'
-    """
-    return knobs.ANALYTIC.enabled()
-
-
 def resolve_backend(override: Optional[str] = None) -> str:
     """The backend-selection seam for the kernel layer.
 
@@ -178,11 +159,9 @@ def resolve_backend(override: Optional[str] = None) -> str:
         if override not in ("analytic", "bulk", "event"):
             raise ValueError(f"unknown simulation backend {override!r}")
         return override
-    if analytic_enabled():
+    if knobs.ANALYTIC.enabled():
         return "analytic"
-    from repro.common.bulk import bulk_enabled
-
-    return "bulk" if bulk_enabled() else "event"
+    return "bulk" if knobs.BULK.enabled() else "event"
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,14 @@
 Each :class:`Knob` names one environment variable, the value it takes
 when unset, and its *effect* — which identities it must join:
 
-* :data:`COMPUTE` — changes what a simulation computes or records
-  (kernel tier, BPF fast path, ledger extras).  Folded into every
-  store digest, the per-context evaluation memo key, the warm pool's
-  identity and the service's request digest;
+* :data:`COMPUTE` — changes how a simulation computes its result
+  (kernel tier, BPF fast path).  Folded into every store digest, the
+  per-context evaluation memo key, the warm pool's identity and the
+  service's request digest;
 * :data:`STORAGE` — changes where results persist or what may be
   served from persistent storage.  Joins the evaluation memo key, the
   pool identity and the request digest, but not store digests (an
-  artifact is the same wherever it is stored);
-* :data:`PLACEMENT` — changes only where work runs, never a result.
-  Joins no key.
+  artifact is the same wherever it is stored).
 
 Readers consult ``os.environ`` on every call, so a switch flipped
 mid-process takes effect at once.  A new switch is one more entry in
@@ -27,7 +25,6 @@ from typing import Tuple
 
 COMPUTE = "compute"
 STORAGE = "storage"
-PLACEMENT = "placement"
 
 #: Values that turn an on/off switch off (case-insensitive).
 _OFF = ("0", "off", "false", "no")
@@ -50,7 +47,7 @@ class Knob:
         (case-insensitive), on for anything else, unset included when
         the default is on.
 
-        >>> knob = Knob("EXAMPLE_SWITCH", "1", PLACEMENT)
+        >>> knob = Knob("EXAMPLE_SWITCH", "1", COMPUTE)
         >>> knob.enabled()
         True
         >>> os.environ["EXAMPLE_SWITCH"] = "Off"
@@ -65,24 +62,12 @@ class Knob:
 BULK = Knob("REPRO_BULK", "1", COMPUTE)
 FASTPATH = Knob("REPRO_FASTPATH", "1", COMPUTE)
 ANALYTIC = Knob("REPRO_ANALYTIC", "1", COMPUTE)
-LEDGER = Knob("REPRO_LEDGER", "1", COMPUTE)
-LEDGER_AUDIT = Knob("REPRO_LEDGER_AUDIT", "1", COMPUTE)
 #: Read literally: any non-empty value disables every on-disk cache.
 CACHE_DISABLE = Knob("REPRO_CACHE_DISABLE", "", STORAGE)
 #: Read literally: the cache directory; empty means the default.
 CACHE_DIR = Knob("REPRO_CACHE_DIR", "", STORAGE)
-WARM_POOL = Knob("REPRO_WARM_POOL", "1", PLACEMENT)
 
-KNOBS: Tuple[Knob, ...] = (
-    BULK,
-    FASTPATH,
-    ANALYTIC,
-    LEDGER,
-    LEDGER_AUDIT,
-    CACHE_DISABLE,
-    CACHE_DIR,
-    WARM_POOL,
-)
+KNOBS: Tuple[Knob, ...] = (BULK, FASTPATH, ANALYTIC, CACHE_DISABLE, CACHE_DIR)
 
 
 def settings(*effects: str) -> Tuple[Tuple[str, str], ...]:

@@ -18,26 +18,16 @@ self-checking:
   reassociation noise.  Any path that records cycles without tagging a
   flow — or vice versa — fails loudly.
 
-Environment switches:
-
-``REPRO_LEDGER=0``
-    disables per-structure windowed timelines and the regime
-    cross-check snapshotting (the zero-overhead escape hatch; the
-    per-flow buckets themselves cost one dict update per event and are
-    always maintained, since the total is derived from them).
-``REPRO_LEDGER_AUDIT=0``
-    disables the conservation audits only.
+The per-structure windowed timelines, the regime cross-check snapshots
+and the audits are always on: they are what lets every printed flow
+total be trusted.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.common import knobs
 from repro.common.errors import ReproError
-
-LEDGER_ENV = knobs.LEDGER.name
-AUDIT_ENV = knobs.LEDGER_AUDIT.name
 
 #: Canonical flow-tag taxonomy (the ledger keys).  Hardware Draco's
 #: six Table I flows plus its two off-lattice paths, software Draco's
@@ -86,16 +76,6 @@ CYCLE_RTOL = 1e-9
 
 class ConservationError(ReproError):
     """The per-flow ledger disagrees with an independent cycle total."""
-
-
-def enabled() -> bool:
-    """True unless ``REPRO_LEDGER`` disables the observability extras."""
-    return knobs.LEDGER.enabled()
-
-
-def audits_enabled() -> bool:
-    """True unless ``REPRO_LEDGER_AUDIT`` disables conservation audits."""
-    return enabled() and knobs.LEDGER_AUDIT.enabled()
 
 
 class FlowLedger:

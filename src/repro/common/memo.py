@@ -9,6 +9,10 @@ every subsequent lookup into a rebuild.  Evicting only the *oldest*
 entry keeps the working set warm — plain dicts iterate in insertion
 order, so the oldest key is ``next(iter(memo))``.
 
+The threaded service shares these memos between request threads, so
+the check-evict-insert sequence runs under one module lock: two
+threads at the limit must never both pick the same oldest key.
+
 >>> memo = {}
 >>> for key in range(5):
 ...     memo_insert(memo, key, key * 10, limit=3)
@@ -21,14 +25,18 @@ True
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Dict
+
+_LOCK = threading.Lock()
 
 
 def memo_insert(memo: Dict[Any, Any], key: Any, value: Any, limit: int) -> None:
     """Insert ``key -> value`` into *memo*, evicting oldest-first so the
     memo never exceeds *limit* entries.  Overwriting an existing key
     never evicts (and keeps the key's insertion position)."""
-    if key not in memo:
-        while len(memo) >= limit:
-            del memo[next(iter(memo))]
-    memo[key] = value
+    with _LOCK:
+        if key not in memo:
+            while len(memo) >= limit:
+                del memo[next(iter(memo))]
+        memo[key] = value

@@ -678,7 +678,7 @@ class RunReport:
         """Per-regime flow table (the ``summary --flows`` rendering)."""
         flows = self.flows()
         if not flows:
-            return "== flows\n(no flow telemetry recorded — run with REPRO_LEDGER=1)"
+            return "== flows\n(no flow telemetry recorded — a cold run simulates; cache hits do not)"
         header = ("regime", "flow", "events", "share", "cycles", "cyc/event")
         rows = [header]
         for regime, block in flows.items():

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.common import knobs
 from repro.common import ledger as common_ledger
-from repro.common.bulk import bulk_enabled
 from repro.core.flows import Flow, classify
 from repro.core.slb import HashId, Slb
 from repro.core.software import ProcessTables
@@ -152,7 +152,7 @@ class HardwareDraco:
         #: *replay refs).  An entry stays valid while the exact structure
         #: entries its walk touched remain resident — see
         #: :meth:`steady_probe`.
-        self._bulk = bulk_enabled()
+        self._bulk = knobs.BULK.enabled()
         self._steady: Dict[SyscallEvent, tuple] = {}
         self._populate_spt()
 

@@ -168,9 +168,7 @@ class Slb:
         #: the bulk-check fast path folds this into its steady-state
         #: epoch, so memoized walk results never survive a mutation.
         self.mutations = 0
-        #: Windowed hit-rate timelines (ledger observability layer);
-        #: recording is skipped entirely when the ledger is disabled.
-        self._timelines_on = ledger.enabled()
+        #: Windowed hit-rate timelines (ledger observability layer).
         self.access_timeline = ledger.WindowedCounter()
         self.preload_timeline = ledger.WindowedCounter()
 
@@ -192,8 +190,7 @@ class Slb:
             self.access_hits += 1
         else:
             self.access_misses += 1
-        if self._timelines_on:
-            self.access_timeline.record(entry is not None)
+        self.access_timeline.record(entry is not None)
         return entry
 
     def preload_probe(self, sid: int, arg_count: int, hash_id: HashId) -> bool:
@@ -202,8 +199,7 @@ class Slb:
             self.preload_hits += 1
         else:
             self.preload_misses += 1
-        if self._timelines_on:
-            self.preload_timeline.record(hit)
+        self.preload_timeline.record(hit)
         return hit
 
     def peek_access(
@@ -226,15 +222,13 @@ class Slb:
         """Replay *count* steady-state non-speculative hits on *entry*."""
         self.subtable(arg_count).touch_bulk(entry, count)
         self.access_hits += count
-        if self._timelines_on:
-            self.access_timeline.record_bulk(True, count)
+        self.access_timeline.record_bulk(True, count)
 
     def record_preload_hit_bulk(self, count: int) -> None:
         """Replay *count* steady-state preload-probe hits (counters
         only: preload probes leave no LRU state by design)."""
         self.preload_hits += count
-        if self._timelines_on:
-            self.preload_timeline.record_bulk(True, count)
+        self.preload_timeline.record_bulk(True, count)
 
     def fill(
         self,

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import ledger
-from repro.common.bulk import bulk_enabled
+from repro.common import knobs, ledger
 from repro.core.spt import SoftwareSPT, SptEntry
 from repro.core.vat import VAT
 from repro.cpu.params import DEFAULT_SW_COSTS, SoftwareCostParams
@@ -184,7 +183,7 @@ class SoftwareDraco:
         #: for the two pure fast paths (VAT hit, SPT-only).  The epoch is
         #: the VAT's mutation counter — any insert (cuckoo relocations
         #: may evict) or flush lazily invalidates every entry.
-        self._bulk = bulk_enabled()
+        self._bulk = knobs.BULK.enabled()
         self._steady: Dict[SyscallEvent, Tuple[int, CheckOutcome]] = {}
 
     #: Steady-memo size cap (safety valve, as in the hardware model).

@@ -46,7 +46,6 @@ class Stb:
         #: Bumped on every state-changing operation (update, invalidate);
         #: folded into the bulk fast path's steady-state epoch.
         self.mutations = 0
-        self._timelines_on = ledger.enabled()
         self.timeline = ledger.WindowedCounter()
 
     def _set_for(self, pc: int) -> List[StbEntry]:
@@ -61,12 +60,10 @@ class Stb:
             if entry.pc == pc:
                 entry.last_used = self._clock
                 self.hits += 1
-                if self._timelines_on:
-                    self.timeline.record(True)
+                self.timeline.record(True)
                 return entry
         self.misses += 1
-        if self._timelines_on:
-            self.timeline.record(False)
+        self.timeline.record(False)
         return None
 
     def peek(self, pc: int) -> Optional[StbEntry]:
@@ -85,8 +82,7 @@ class Stb:
         self._clock += count
         entry.last_used = self._clock
         self.hits += count
-        if self._timelines_on:
-            self.timeline.record_bulk(True, count)
+        self.timeline.record_bulk(True, count)
 
     def update(self, pc: int, sid: int, hash_id: HashId) -> None:
         """Install or refresh the entry for a syscall site."""

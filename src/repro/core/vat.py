@@ -119,7 +119,6 @@ class VAT:
         #: into the bulk fast path's steady-state epoch so memoized hit
         #: outcomes never survive a mutation.
         self.mutations = 0
-        self._timelines_on = ledger.enabled()
         self.timeline = ledger.WindowedCounter()
 
     # -- construction -----------------------------------------------------
@@ -165,23 +164,20 @@ class VAT:
         table = self._tables.get(sid)
         if table is None:
             self.misses += 1
-            if self._timelines_on:
-                self.timeline.record(False)
+            self.timeline.record(False)
             return None
         probe = table.lookup(key)
         if probe.hit:
             self.hits += 1
         else:
             self.misses += 1
-        if self._timelines_on:
-            self.timeline.record(probe.hit)
+        self.timeline.record(probe.hit)
         return probe
 
     def record_hit_bulk(self, count: int) -> None:
         """Account *count* replayed steady-state hits (bulk fast path)."""
         self.hits += count
-        if self._timelines_on:
-            self.timeline.record_bulk(True, count)
+        self.timeline.record_bulk(True, count)
 
     def insert(self, sid: int, key: bytes, args: Tuple[int, ...]) -> int:
         table = self._tables.get(sid)

@@ -58,7 +58,7 @@ from typing import Any, Mapping, Optional
 
 from repro.bpf.compile import COMPILER_VERSION
 from repro.common import knobs
-from repro.common.analytic import ANALYTIC_VERSION, analytic_enabled
+from repro.common.analytic import ANALYTIC_VERSION
 from repro.common.storage import (
     CACHE_DIR_ENV,
     CACHE_DISABLE_ENV,
@@ -137,7 +137,7 @@ def digest(kind: str, **params: Any) -> str:
             "store_format": STORE_FORMAT_VERSION,
             "bpf_compiler": COMPILER_VERSION,
             "sim_kernel": SIM_KERNEL_VERSION,
-            "analytic": ANALYTIC_VERSION if analytic_enabled() else 0,
+            "analytic": ANALYTIC_VERSION if knobs.ANALYTIC.enabled() else 0,
             "env": dict(knobs.settings(knobs.COMPUTE)),
         }
     )

@@ -26,10 +26,9 @@ scratch.  This module keeps **one** pool alive across
   task explicitly (:func:`repro.common.storage.cache_overrides`), so
   one pool serves requests against different cache directories.
 
-Kill switch: ``REPRO_WARM_POOL=0`` restores the historical throwaway
-pool per call.  Results are byte-identical either way — the pool only
-changes *where* tasks run, never what they compute — and a differential
-test asserts it over the full registry markdown.
+The pool only changes *where* tasks run, never what they compute: a
+differential test asserts the full registry markdown of a parallel run
+equals a serial one.
 """
 
 from __future__ import annotations
@@ -43,15 +42,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.common import knobs
-
-#: Kill switch: ``0``/``off``/``false``/``no`` disables the persistent
-#: warm pool and every parallel suite gets a throwaway executor again.
-WARM_POOL_ENV = knobs.WARM_POOL.name
-
-
-def warm_pool_enabled() -> bool:
-    """True unless ``REPRO_WARM_POOL`` is ``0``/``off``/``false``/``no``."""
-    return knobs.WARM_POOL.enabled()
 
 
 def warm_worker() -> None:
@@ -72,13 +62,13 @@ def warm_worker() -> None:
     import repro.experiments.registry  # noqa: F401  (imports the world)
     from repro.experiments.runner import _docker_profile_for
     from repro.kernel.regimes import _programs_for
-    from repro.bpf.compile import compile_program, fastpath_enabled
+    from repro.bpf.compile import compile_program
     from repro.workloads.catalog import CATALOG
 
     for spec in CATALOG.values():
         profile = _docker_profile_for(spec.table)
         for program in _programs_for(profile, "binary_tree"):
-            if fastpath_enabled():
+            if knobs.FASTPATH.enabled():
                 compile_program(program)
 
 
@@ -203,25 +193,17 @@ def stats() -> dict:
 
 
 @contextmanager
-def suite_executor(jobs: int, task_count: int) -> Iterator[ProcessPoolExecutor]:
-    """An executor for one suite: the persistent warm pool when enabled,
-    a throwaway ``ProcessPoolExecutor`` (shut down on exit) otherwise.
+def suite_executor(jobs: int) -> Iterator[ProcessPoolExecutor]:
+    """The persistent warm pool's executor for one suite.
 
     On :class:`BrokenProcessPool` the warm pool is discarded before the
     error propagates, so the next suite forks a fresh one instead of
     failing forever on dead workers.
     """
-    if warm_pool_enabled():
-        pool = get_pool(jobs)
-        pool.suites_served += 1
-        try:
-            yield pool.executor
-        except BrokenProcessPool:
-            discard(pool.executor)
-            raise
-    else:
-        executor = ProcessPoolExecutor(max_workers=min(jobs, max(task_count, 1)))
-        try:
-            yield executor
-        finally:
-            executor.shutdown()
+    pool = get_pool(jobs)
+    pool.suites_served += 1
+    try:
+        yield pool.executor
+    except BrokenProcessPool:
+        discard(pool.executor)
+        raise

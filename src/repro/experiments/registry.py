@@ -1,8 +1,8 @@
 """Experiment registry: every table and figure, with its regenerator.
 
 Maps each of the paper's evaluation artifacts to the module that
-regenerates it and the benchmark that exercises it, so
-``python -m repro.experiments`` can reproduce the whole evaluation.
+regenerates it, so ``python -m repro.experiments`` can reproduce the
+whole evaluation.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class Experiment:
     experiment_id: str
     title: str
     run: Callable[..., ExperimentResult]
-    benchmark: str  # pytest-benchmark target that regenerates it
     #: Declarative DAG plan (:class:`repro.experiments.stages.EvalPlan`)
     #: for the stage-graph orchestrator; ``None`` runs the experiment
     #: monolithically as a single terminal stage.
@@ -47,43 +46,29 @@ class Experiment:
 
 REGISTRY: Tuple[Experiment, ...] = (
     Experiment("fig2", "Seccomp checking overhead", fig2_seccomp_overhead.run,
-               "benchmarks/test_fig2_seccomp_overhead.py",
                stage_plan=fig2_seccomp_overhead.STAGE_PLAN),
-    Experiment("fig3", "System call locality", fig3_locality.run,
-               "benchmarks/test_fig3_locality.py"),
-    Experiment("table1", "Draco execution flows", table1_flows.run,
-               "benchmarks/test_table1_flows.py"),
-    Experiment("table2", "Architectural configuration", table2_config.run,
-               "benchmarks/test_table2_config.py"),
+    Experiment("fig3", "System call locality", fig3_locality.run),
+    Experiment("table1", "Draco execution flows", table1_flows.run),
+    Experiment("table2", "Architectural configuration", table2_config.run),
     Experiment("fig11", "Software Draco vs Seccomp", fig11_draco_sw.run,
-               "benchmarks/test_fig11_draco_sw.py",
                stage_plan=fig11_draco_sw.STAGE_PLAN),
     Experiment("fig12", "Hardware Draco", fig12_draco_hw.run,
-               "benchmarks/test_fig12_draco_hw.py",
                stage_plan=fig12_draco_hw.STAGE_PLAN),
     Experiment("fig13", "STB/SLB hit rates", fig13_hit_rates.run,
-               "benchmarks/test_fig13_hit_rates.py",
                stage_plan=fig13_hit_rates.STAGE_PLAN),
-    Experiment("fig14", "Argument count distribution", fig14_arg_distribution.run,
-               "benchmarks/test_fig14_arg_distribution.py"),
-    Experiment("fig15", "Profile security metrics", fig15_security.run,
-               "benchmarks/test_fig15_security.py"),
-    Experiment("table3", "Hardware area/energy", table3_hwcost.run,
-               "benchmarks/test_table3_hwcost.py"),
-    Experiment("vat", "VAT memory consumption", vat_footprint.run,
-               "benchmarks/test_vat_footprint.py"),
+    Experiment("fig14", "Argument count distribution", fig14_arg_distribution.run),
+    Experiment("fig15", "Profile security metrics", fig15_security.run),
+    Experiment("table3", "Hardware area/energy", table3_hwcost.run),
+    Experiment("vat", "VAT memory consumption", vat_footprint.run),
     Experiment("fig16", "Old-kernel Seccomp overhead", fig16_old_kernel.run,
-               "benchmarks/test_fig16_old_kernel.py",
                stage_plan=fig16_old_kernel.STAGE_PLAN),
     Experiment("fig17", "Old-kernel software Draco", fig17_old_kernel_sw.run,
-               "benchmarks/test_fig17_old_kernel_sw.py",
                stage_plan=fig17_old_kernel_sw.STAGE_PLAN),
     Experiment("flowmix", "Table I flow occupancy (extension)", flow_mix.run,
-               "benchmarks/test_flow_mix.py", stage_plan=flow_mix.STAGE_PLAN),
+               stage_plan=flow_mix.STAGE_PLAN),
     Experiment("bitmap", "Draco vs 5.11 action-cache bitmap (extension)",
-               bitmap_comparison.run, "benchmarks/test_bitmap_comparison.py"),
-    Experiment("fleet", "Fleet-scale FaaS serving (extension)",
-               fleet_serving.run, "benchmarks/bench_fleet.py",
+               bitmap_comparison.run),
+    Experiment("fleet", "Fleet-scale FaaS serving (extension)", fleet_serving.run,
                stage_plan=fleet_serving.STAGE_PLAN),
 )
 

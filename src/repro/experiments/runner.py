@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.common import knobs, storage, telemetry
-from repro.common.analytic import analytic_enabled
 from repro.common.errors import AnalyticPreconditionError, ConfigError
 from repro.common.memo import memo_insert
 from repro.common.rng import DEFAULT_SEED
@@ -232,7 +231,7 @@ class WorkloadContext:
         variant = _SECCOMP_REPLAY_VARIANTS.get(regime_name)
         if variant is None:
             return None
-        if not (result_cache.cache_enabled() and analytic_enabled()):
+        if not (result_cache.cache_enabled() and knobs.ANALYTIC.enabled()):
             return None
         from repro.experiments import seccomp_replay
 
@@ -436,7 +435,7 @@ def calibrate_work_cycles(
             return cached
 
     probe = None
-    if result_cache.cache_enabled() and analytic_enabled():
+    if result_cache.cache_enabled() and knobs.ANALYTIC.enabled():
         # The probe is a plain syscall-complete evaluation at W = S = 1,
         # so it replays the same shared filter sweep the syscall-complete
         # bars use (byte-identical mean_check_cycles by contract).

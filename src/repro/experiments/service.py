@@ -53,6 +53,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.common import knobs, telemetry
 from repro.common import stats as common_stats
+from repro.common.storage import cache_overrides
 from repro.experiments import cache as result_cache
 from repro.experiments import engine
 from repro.experiments import pool as warm_pool
@@ -338,8 +339,6 @@ class ExperimentService:
         if report.cache_dir:
             runs_dir = Path(report.cache_dir) / "runs"
         else:
-            from repro.common.storage import cache_overrides
-
             with cache_overrides(cache_dir=self.cache_dir):
                 runs_dir = result_cache.cache_root() / "runs"
         target = Path(path) if path is not None else runs_dir / "service-latest.json"
@@ -474,8 +473,6 @@ class ServiceClient:
 
 
 def default_socket_path(cache_dir: Optional[str] = None) -> str:
-    from repro.common.storage import cache_overrides
-
     with cache_overrides(cache_dir=cache_dir):
         return str(result_cache.cache_root() / "service.sock")
 
@@ -498,11 +495,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--watch-interval", type=float, default=1.0, help="watch poll interval (s)"
     )
-    parser.add_argument(
-        "--no-prestart",
-        action="store_true",
-        help="skip forcing all pool workers to start (and warm) up front",
-    )
     args = parser.parse_args(argv)
 
     service = ExperimentService(
@@ -510,12 +502,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_dir=args.cache_dir,
         memo_limit=args.memo,
     )
-    if warm_pool.warm_pool_enabled() and not args.no_prestart:
-        from repro.common.storage import cache_overrides
-
-        with cache_overrides(cache_dir=args.cache_dir):
-            spent = warm_pool.get_pool(service.jobs).prestart()
-        print(f"warm pool: {service.jobs} workers prestarted in {spent:.2f}s", flush=True)
+    with cache_overrides(cache_dir=args.cache_dir):
+        spent = warm_pool.get_pool(service.jobs).prestart()
+    print(f"warm pool: {service.jobs} workers prestarted in {spent:.2f}s", flush=True)
     socket_path = args.socket or default_socket_path(args.cache_dir)
     print(f"listening on {socket_path}", flush=True)
     serve(

@@ -618,7 +618,7 @@ def execute_suite(
                 continue
             _finish(_execute_stage(*_submit_args(key)))
     elif order:
-        with warm_pool.suite_executor(jobs, len(order)) as executor:
+        with warm_pool.suite_executor(jobs) as executor:
             futures: Dict[Any, str] = {}
             ready = [key for key in order if unmet[key] == 0]
             while ready or futures:

@@ -19,8 +19,8 @@ import abc
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common import analytic as analytic_backend
+from repro.common import knobs
 from repro.common import ledger as common_ledger
-from repro.common.bulk import bulk_enabled
 from repro.common.errors import AnalyticPreconditionError
 from repro.common.memo import memo_insert
 from repro.core.hardware import HardwareDraco
@@ -247,7 +247,7 @@ class SeccompRegime(CheckingRegime):
         # earlier in the process and break RunResult byte-identity.
         self._outcome_memo: Dict[object, CheckOutcome] = {}
         self._ledger = common_ledger.FlowLedger()
-        self._bulk = bulk_enabled()
+        self._bulk = knobs.BULK.enabled()
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
         key = self.module.memo_key(event)
@@ -426,7 +426,7 @@ class DracoHwRegime(CheckingRegime):
         )
         self._cs_interval = context_switch_interval_cycles
         self._cycles_since_switch = 0.0
-        self._bulk = bulk_enabled()
+        self._bulk = knobs.BULK.enabled()
         #: Dedup cache for the CheckOutcome wrappers around hardware
         #: results; outcomes are frozen, so reuse is observationally
         #: identical to building a fresh instance per event.

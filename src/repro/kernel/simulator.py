@@ -43,7 +43,7 @@ from itertools import chain
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.common import analytic as analytic_backend
-from repro.common import ledger, telemetry
+from repro.common import knobs, ledger, telemetry
 from repro.common.analytic import AnalyticInfo, AnalyticPlan, TraceWindows
 from repro.common.errors import SimulationError
 from repro.core.software import CheckOutcome
@@ -221,9 +221,7 @@ def _build_result(
     measured: int,
     warmed: int,
     runs_coalesced: int,
-    audits: bool,
     regime_before,
-    cross_audit: bool,
     structures: Optional[Dict[str, Dict[str, float]]],
     structures_telemetry: Optional[Dict[str, Any]],
     analytic_info: Optional[AnalyticInfo],
@@ -241,17 +239,16 @@ def _build_result(
     baseline = work_cycles_per_syscall + syscall_base_cycles
     normalized = (baseline + mean_check) / baseline
 
-    if audits:
-        scope = f"{workload_name or '?'}/{regime.name}"
-        run_ledger.audit_totals(measured, total_check, scope=scope)
-        # Sampled runs scale their buckets to the full window, so the
-        # regime's own ledger (which only saw the sample) is no longer
-        # the conservation reference — the cross-audit is skipped, and
-        # the result is flagged ``derived`` instead.
-        if cross_audit and regime_before is not None:
-            regime_after = regime.ledger_snapshot()
-            if regime_after is not None:
-                run_ledger.audit_against(regime_before, regime_after, scope=scope)
+    scope = f"{workload_name or '?'}/{regime.name}"
+    run_ledger.audit_totals(measured, total_check, scope=scope)
+    # Sampled runs scale their buckets to the full window, so the
+    # regime's own ledger (which only saw the sample) is no longer the
+    # conservation reference — they pass no *regime_before*, the
+    # cross-audit is skipped, and the result is flagged ``derived``.
+    if regime_before is not None:
+        regime_after = regime.ledger_snapshot()
+        if regime_after is not None:
+            run_ledger.audit_against(regime_before, regime_after, scope=scope)
 
     derived = analytic_info is not None and analytic_info.derived
     telemetry.record_simulation(
@@ -312,8 +309,7 @@ def _run_exact_window(
             if strict and not outcome.allowed:
                 _deny(regime, event)
 
-    audits = ledger.audits_enabled()
-    regime_before = regime.ledger_snapshot() if audits else None
+    regime_before = regime.ledger_snapshot()
 
     groups: Dict[CheckOutcome, int] = {}
     groups_get = groups.get
@@ -330,7 +326,7 @@ def _run_exact_window(
         measured += count
 
     regime.analytic_verify()
-    raw_stats = regime.structure_stats() if ledger.enabled() else None
+    raw_stats = regime.structure_stats()
     return _build_result(
         regime=regime,
         workload_name=workload_name,
@@ -340,9 +336,7 @@ def _run_exact_window(
         measured=measured,
         warmed=windows.warmup,
         runs_coalesced=len(windows.measured),
-        audits=audits,
         regime_before=regime_before,
-        cross_audit=True,
         structures=(
             analytic_backend.sanitize_structures(raw_stats)
             if raw_stats is not None
@@ -379,7 +373,7 @@ def build_exact_replay_result(
     measured: int,
     warmup_events: int,
     runs_coalesced: int,
-    structures_raw: Optional[Dict[str, Any]] = None,
+    structures_raw: Dict[str, Any],
 ) -> RunResult:
     """Freeze an exact-replay :class:`RunResult` from outcome groups.
 
@@ -390,8 +384,8 @@ def build_exact_replay_result(
     tests — and this function runs the common result tail
     (:func:`_build_result`): flow expansion, conservation audit,
     telemetry, result freezing.  The cross-audit against a live regime
-    ledger is skipped (there is no live regime), matching what
-    ``audits`` covers for sampled windows.
+    ledger is skipped (there is no live regime), as it is for sampled
+    windows.
     """
     return _build_result(
         regime=_ReplayRegime(regime_name),
@@ -402,14 +396,8 @@ def build_exact_replay_result(
         measured=measured,
         warmed=warmup_events,
         runs_coalesced=runs_coalesced,
-        audits=ledger.audits_enabled(),
         regime_before=None,
-        cross_audit=False,
-        structures=(
-            analytic_backend.sanitize_structures(structures_raw)
-            if structures_raw is not None
-            else None
-        ),
+        structures=analytic_backend.sanitize_structures(structures_raw),
         structures_telemetry=structures_raw,
         analytic_info=AnalyticInfo(
             mode="exact",
@@ -473,7 +461,6 @@ def _run_sampled_window(
         )
     warm_stats = regime.structure_stats() or {}
 
-    audits = ledger.audits_enabled()
     #: Cold (first-occurrence) outcomes vs. steady-mix outcomes are
     #: scaled to different targets, so they accumulate separately.
     cold_groups: Dict[CheckOutcome, int] = {}
@@ -625,11 +612,9 @@ def _run_sampled_window(
         measured=total_measured,
         warmed=windows.warmup,
         runs_coalesced=runs_coalesced,
-        audits=audits,
         regime_before=None,
-        cross_audit=False,
-        structures=structures if ledger.enabled() else None,
-        structures_telemetry=structures if ledger.enabled() else None,
+        structures=structures,
+        structures_telemetry=structures,
         analytic_info=info,
     )
 
@@ -674,9 +659,7 @@ def run_trace(
         raise SimulationError("empty trace")
     warmup = int(n * warmup_fraction)
 
-    use_analytic = (
-        analytic_backend.analytic_enabled() if analytic is None else bool(analytic)
-    )
+    use_analytic = knobs.ANALYTIC.enabled() if analytic is None else bool(analytic)
     if use_analytic and events_total is None:
         windows = analytic_backend.trace_windows(trace, warmup)
         if windows is not None:
@@ -746,8 +729,7 @@ def run_trace(
                 "inside the warm-up window"
             )
 
-    audits = ledger.audits_enabled()
-    regime_before = regime.ledger_snapshot() if audits else None
+    regime_before = regime.ledger_snapshot()
 
     measured_runs = chain((pending,), runs) if pending is not None else runs
     groups_get = groups.get
@@ -798,7 +780,7 @@ def run_trace(
             f"{warmed + measured} events"
         )
 
-    raw_stats = regime.structure_stats() if ledger.enabled() else None
+    raw_stats = regime.structure_stats()
     return _build_result(
         regime=regime,
         workload_name=workload_name,
@@ -808,9 +790,7 @@ def run_trace(
         measured=measured,
         warmed=warmed,
         runs_coalesced=runs_coalesced,
-        audits=audits,
         regime_before=regime_before,
-        cross_audit=True,
         structures=(
             analytic_backend.sanitize_structures(raw_stats)
             if raw_stats is not None

@@ -24,7 +24,7 @@ from typing import List, Optional, Set, Tuple
 
 from repro.bpf.abstract import constant_action_for
 from repro.common import analytic as analytic_backend
-from repro.common.bulk import bulk_enabled
+from repro.common import knobs
 from repro.core.software import CheckOutcome
 from repro.kernel.regimes import (
     CheckingRegime,
@@ -122,7 +122,7 @@ class SeccompBitmapRegime(CheckingRegime):
         self._outcome_memo = _shared_outcome_memo(
             profile, times, compiler, use_jit, costs, kind="bitmap"
         )
-        self._bulk = bulk_enabled()
+        self._bulk = knobs.BULK.enabled()
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
         if self.cache.hit(event.sid):

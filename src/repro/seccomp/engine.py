@@ -37,13 +37,13 @@ from repro.bpf.compile import (
     build_key_fn,
     compile_program,
     event_words,
-    fastpath_enabled,
     read_word_indices,
 )
 from repro.bpf.insn import Insn
 from repro.bpf.interpreter import run
 from repro.bpf.seccomp_data import SeccompData
 from repro.bpf.verifier import verify
+from repro.common import knobs
 from repro.common.errors import SimulationError
 from repro.seccomp.actions import (
     SECCOMP_RET_ALLOW,
@@ -86,7 +86,7 @@ class SeccompKernelModule:
     ) -> None:
         self._filters: List[AttachedFilter] = []
         self._memoize = memoize
-        self._compile = fastpath_enabled() if compile_filters is None else compile_filters
+        self._compile = knobs.FASTPATH.enabled() if compile_filters is None else compile_filters
         self._memo: Dict[Any, SeccompDecision] = {}
         self._key_fn: Optional[Callable[[SyscallEvent], Any]] = None
         #: Execution accounting (ledger observability layer): how often

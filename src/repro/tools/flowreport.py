@@ -190,8 +190,8 @@ def main(argv=None) -> int:
     if args.check:
         if not document["regimes"]:
             print(
-                "no flow telemetry in the report — was it produced with "
-                "REPRO_LEDGER=0 or by a pre-ledger build?",
+                "no flow telemetry in the report — was every result a "
+                "cache hit, or was it produced by a pre-ledger build?",
                 file=sys.stderr,
             )
             return 1

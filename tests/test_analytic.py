@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import analytic
+from repro.common import analytic, knobs
 
 #: History-free regimes: the analytic tier replays the histogram exactly.
 EXACT_REGIMES = ("insecure", "syscall-complete", "draco-sw-complete")
@@ -38,8 +38,6 @@ def _result(workload, regime_name, monkeypatch, *, analytic_on, events=2_000):
     from repro.experiments.runner import get_context
 
     monkeypatch.setenv("REPRO_ANALYTIC", "1" if analytic_on else "0")
-    monkeypatch.setenv("REPRO_LEDGER", "1")
-    monkeypatch.setenv("REPRO_LEDGER_AUDIT", "1")
     ctx = get_context(workload, events=events, seed=7)
     return ctx.evaluate(regime_name)
 
@@ -83,7 +81,6 @@ def test_bitmap_regime_exact_identity(monkeypatch):
     from repro.kernel.simulator import run_trace
     from repro.seccomp.bitmap_cache import SeccompBitmapRegime
 
-    monkeypatch.setenv("REPRO_LEDGER", "1")
     ctx = get_context("nginx", events=2_000, seed=7)
     snapshots = {}
     for analytic_on in (True, False):
@@ -152,7 +149,7 @@ def test_short_traces_stay_exact(monkeypatch):
 
 def test_kill_switch_disables_backend(monkeypatch):
     monkeypatch.setenv("REPRO_ANALYTIC", "0")
-    assert not analytic.analytic_enabled()
+    assert not knobs.ANALYTIC.enabled()
     assert analytic.resolve_backend() == "bulk"
     monkeypatch.setenv("REPRO_BULK", "0")
     assert analytic.resolve_backend() == "event"
@@ -175,8 +172,6 @@ def test_scheduler_backend_seam_degrades_identically(monkeypatch):
     from repro.seccomp.toolkit import generate_complete
     from repro.workloads.catalog import CATALOG
     from repro.workloads.generator import generate_trace
-
-    monkeypatch.setenv("REPRO_LEDGER", "1")
 
     def snapshot(backend):
         processes = []
@@ -273,7 +268,6 @@ class TestRunTrace:
         from repro.kernel.simulator import run_trace
         from repro.syscalls.events import RunTrace, SyscallTrace, iter_runs
 
-        monkeypatch.setenv("REPRO_LEDGER", "1")
         ctx = get_context("grep", events=1_500, seed=5)
         expanded = SyscallTrace(list(ctx.trace))
         coalesced = RunTrace(iter_runs(list(ctx.trace)))
@@ -291,6 +285,28 @@ class TestRunTrace:
             payload.pop("analytic")
             results.append(json.dumps(payload, sort_keys=True))
         assert results[0] == results[1]
+
+    def test_fleet_stream_is_exact_at_any_run_length(self, monkeypatch):
+        """A steady fleet stream (256 distinct ``read`` values, two passes
+        of 4M-event runs: 2.05 G events) costs Θ(distinct) on the exact
+        tier and accounts for every event."""
+        from repro.kernel.regimes import SeccompRegime
+        from repro.kernel.simulator import run_trace
+        from repro.seccomp.toolkit import generate_bundle
+        from repro.syscalls.events import RunTrace, SyscallTrace, make_event
+
+        monkeypatch.delenv("REPRO_ANALYTIC", raising=False)
+        distinct, run_length = 256, 4_000_000
+        events = [make_event("read", (3 + i, 4096), pc=0x100 + i) for i in range(distinct)]
+        trace = RunTrace([(event, run_length) for event in events] * 2)
+        bundle = generate_bundle(
+            SyscallTrace([make_event("read", (3 + i, 4096)) for i in range(distinct)]),
+            "fleet",
+        )
+        result = run_trace(trace, SeccompRegime(bundle.complete, name="seccomp-fleet"),
+                           100.0, 150.0, workload_name="fleet")
+        assert result.analytic is not None and result.analytic.mode == "exact"
+        assert result.events_measured + result.warmup_events == len(trace)
 
 
 # -- plan sizing --------------------------------------------------------

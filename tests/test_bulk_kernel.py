@@ -17,11 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bulk import bulk_enabled
+from repro.common import knobs
 from repro.cpu.hierarchy import MemoryHierarchy
 from repro.syscalls.events import iter_runs, make_event
 
 WORKLOADS = ("nginx", "grep", "pipe-ipc")
+#: The run-length regime the bulk kernel exploits (Figure 3): every
+#: event of the 2,000-event pipe-ipc context repeated 32 times.
+AMPLIFIED = "pipe-ipc*32"
 REGIMES = (
     "insecure",
     "syscall-complete",
@@ -143,7 +146,7 @@ class TestPollutionCredit:
         assert _hierarchy_state(h) == state
 
 
-# -- bulk_enabled parsing -----------------------------------------------
+# -- REPRO_BULK parsing ------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -156,28 +159,44 @@ def test_bulk_enabled_parsing(monkeypatch, value, expected):
         monkeypatch.delenv("REPRO_BULK", raising=False)
     else:
         monkeypatch.setenv("REPRO_BULK", value)
-    assert bulk_enabled() is expected
+    assert knobs.BULK.enabled() is expected
 
 
 # -- differential: run_trace under REPRO_BULK=0 vs 1 --------------------
 
 
 def _run_result_json(workload, regime_name, monkeypatch, *, bulk, fastpath=True):
-    """One (workload, regime) simulation serialized for byte comparison."""
+    """One (workload, regime) simulation serialized for byte comparison.
+
+    ``name*k`` runs the context's trace with every event repeated *k*
+    times, on the exact kernels.  The ledger's conservation audits run
+    inside every simulation, so bulk accounting drift raises before the
+    comparison.
+    """
     from repro.experiments.runner import get_context
+    from repro.kernel.simulator import run_trace
+    from repro.syscalls.events import SyscallTrace
 
     monkeypatch.setenv("REPRO_BULK", "1" if bulk else "0")
     monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
-    # Run with the ledger and its conservation audit armed so any bulk
-    # accounting drift raises inside evaluate() rather than comparing.
-    monkeypatch.setenv("REPRO_LEDGER", "1")
-    monkeypatch.setenv("REPRO_LEDGER_AUDIT", "1")
-    ctx = get_context(workload, events=2_000, seed=7)
-    result = ctx.evaluate(regime_name)
+    name, _, repeat = workload.partition("*")
+    ctx = get_context(name, events=2_000, seed=7)
+    if repeat:
+        monkeypatch.setenv("REPRO_ANALYTIC", "0")
+        trace = SyscallTrace([event for event in ctx.trace for _ in range(int(repeat))])
+        result = run_trace(
+            trace,
+            ctx.make_regime(regime_name),
+            work_cycles_per_syscall=ctx.work_cycles,
+            syscall_base_cycles=ctx.syscall_base_cycles,
+            workload_name=workload,
+        )
+    else:
+        result = ctx.evaluate(regime_name)
     return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("workload", WORKLOADS + (AMPLIFIED,))
 @pytest.mark.parametrize("regime", REGIMES)
 def test_bulk_run_results_byte_identical(workload, regime, monkeypatch):
     slow = _run_result_json(workload, regime, monkeypatch, bulk=False)

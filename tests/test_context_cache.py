@@ -14,6 +14,8 @@ off (``cache_overrides(disable=True)``) forcing the real path.
 import gc
 import json
 import shutil
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -79,6 +81,35 @@ class TestMemoInsert:
             memo_insert(memo, key, key, limit=3)
         memo_insert(memo, 99, 99, limit=3)
         assert list(memo) == [1, 2, 99]
+
+    def test_concurrent_inserts_at_limit(self):
+        """Threads evicting from one full memo must not race to delete
+        the same oldest key (a ``KeyError`` in the loser)."""
+        memo = {}
+        limit, threads, inserts = 4, 8, 20_000
+        errors = []
+        barrier = threading.Barrier(threads)
+
+        def hammer(index):
+            barrier.wait()
+            try:
+                for step in range(inserts):
+                    memo_insert(memo, (index, step), step, limit=limit)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(memo) == limit
 
     def test_docker_profile_shared_per_table(self, cache_dir):
         table = CATALOG[WORKLOAD].table

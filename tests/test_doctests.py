@@ -1,8 +1,9 @@
 """Run the module doctests that document the kernel fast paths.
 
-``repro.common.analytic`` and ``repro.common.bulk`` carry executable
-examples in their docstrings (the closed-form helpers, the plan sizing
-rules, the kill-switch semantics).  Wiring them into pytest keeps the
+``repro.common.analytic``, ``repro.common.knobs`` and
+``repro.common.memo`` carry executable examples in their docstrings
+(the closed-form helpers, the plan sizing rules, the switch parsing,
+oldest-first eviction).  Wiring them into pytest keeps the
 documentation honest: an example that drifts from the code fails CI.
 """
 
@@ -15,8 +16,7 @@ import pytest
 
 @pytest.mark.parametrize(
     "module_name",
-    ["repro.common.analytic", "repro.common.bulk", "repro.common.knobs",
-     "repro.common.memo"],
+    ["repro.common.analytic", "repro.common.knobs", "repro.common.memo"],
 )
 def test_module_doctests(module_name):
     module = __import__(module_name, fromlist=["_"])

@@ -20,11 +20,9 @@ def _identities():
 
 def test_names_are_unique_and_prefixed():
     names = [knob.name for knob in knobs.KNOBS]
-    assert len(set(names)) == len(names) == 8
+    assert len(set(names)) == len(names) == 5
     assert all(name.startswith("REPRO_") for name in names)
-    assert {knob.effect for knob in knobs.KNOBS} == {
-        knobs.COMPUTE, knobs.STORAGE, knobs.PLACEMENT
-    }
+    assert {knob.effect for knob in knobs.KNOBS} == {knobs.COMPUTE, knobs.STORAGE}
 
 
 @pytest.mark.parametrize("value, on", [("0", False), ("OFF", False), ("no", False),
@@ -55,9 +53,3 @@ def test_storage_switch_skips_stage_digests(monkeypatch, tmp_path):
     after = _identities()
     assert after[0] == before[0]
     assert after[1] != before[1] and after[2] != before[2]
-
-
-def test_placement_switch_joins_no_identity(monkeypatch):
-    before = _identities()
-    monkeypatch.setenv(knobs.WARM_POOL.name, "0")
-    assert _identities() == before

@@ -97,15 +97,6 @@ class TestFlowLedger:
         with pytest.raises(ledger.ConservationError, match="counted 2 times"):
             liar.audit_against(before, after, scope="t")
 
-    def test_env_gates(self, monkeypatch):
-        monkeypatch.setenv(ledger.LEDGER_ENV, "0")
-        assert not ledger.enabled()
-        assert not ledger.audits_enabled()
-        monkeypatch.setenv(ledger.LEDGER_ENV, "1")
-        monkeypatch.setenv(ledger.AUDIT_ENV, "off")
-        assert ledger.enabled()
-        assert not ledger.audits_enabled()
-
 
 class TestWindowedCounter:
     def test_window_closes_and_appends(self):

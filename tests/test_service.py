@@ -3,13 +3,13 @@ lifecycle, explicit cache threading, single-flight coalescing and watch
 invalidation.
 
 The contract under test (docs/PERFORMANCE.md, docs/EXPERIMENT_GUIDE.md):
-``REPRO_WARM_POOL=1`` (the default) keeps one preloaded worker pool
-alive across suites with markdown output byte-identical to the
-throwaway-pool path; ``run_suite`` never mutates ``os.environ`` and a
-fully-cached parallel run never pays pool dispatch; the service
-coalesces identical concurrent requests into one computation, replays
-identical later requests from its memo and recomputes exactly the dirty
-stage subgraph under watch.
+one preloaded worker pool stays alive across suites with markdown
+output byte-identical to a serial run; ``run_suite`` never mutates
+``os.environ`` and a fully-cached parallel run never pays pool
+dispatch; the service coalesces identical concurrent requests into one
+computation, replays identical later requests from its memo (each
+replay equal to a fresh ``--refresh`` recompute) and recomputes exactly
+the dirty stage subgraph under watch.
 """
 
 import json
@@ -55,17 +55,15 @@ def _markdowns(run):
 
 
 class TestWarmPoolDifferential:
-    def test_full_registry_markdown_identical(self, cache_dir, monkeypatch):
+    def test_full_registry_markdown_identical(self, cache_dir):
         """The acceptance bar: every registry artifact byte-identical
-        with the warm pool on and off."""
-        monkeypatch.setenv(warm_pool.WARM_POOL_ENV, "0")
-        throwaway = engine.run_suite(events=EVENTS, cache_mode=engine.CACHE_OFF, jobs=4)
-        assert not throwaway.failures
+        on the warm pool and in one serial process."""
+        serial = engine.run_suite(events=EVENTS, cache_mode=engine.CACHE_OFF, jobs=1)
+        assert not serial.failures
         runner.reset_context_memos()
-        monkeypatch.setenv(warm_pool.WARM_POOL_ENV, "1")
         warm = engine.run_suite(events=EVENTS, cache_mode=engine.CACHE_OFF, jobs=4)
         assert not warm.failures
-        assert _markdowns(throwaway) == _markdowns(warm)
+        assert _markdowns(serial) == _markdowns(warm)
 
 
 class TestWarmPool:
@@ -96,16 +94,6 @@ class TestWarmPool:
         stats = warm_pool.stats()
         assert stats["recycled"] == recycled_before + 1
         assert stats["active"]
-
-    def test_kill_switch_uses_throwaway_pool(self, cache_dir, monkeypatch):
-        monkeypatch.setenv(warm_pool.WARM_POOL_ENV, "0")
-        created_before = warm_pool.stats()["created"]
-        run = engine.run_suite(
-            ["fig13"], jobs=2, cache_mode=engine.CACHE_OFF,
-            run_overrides={"fig13": {"workloads": WORKLOADS, "events": EVENTS}},
-        )
-        assert not run.failures
-        assert warm_pool.stats()["created"] == created_before
 
     def test_jobs_change_recycles(self, cache_dir):
         assert warm_pool.pool_key(2) != warm_pool.pool_key(4)
@@ -152,7 +140,7 @@ class TestCacheThreading:
         )
         assert not cold.failures
 
-        def _no_pool(jobs, task_count):
+        def _no_pool(jobs):
             raise AssertionError("fully-cached suite must not start a pool")
 
         monkeypatch.setattr(warm_pool, "suite_executor", _no_pool)
@@ -217,6 +205,23 @@ class TestSingleFlight:
         assert second["served"] == "computed"
         assert svc.handle(dict(base))["served"] == "memo"
         assert svc.handle(dict(other))["served"] == "memo"
+
+    def test_memo_replay_equals_fresh_refresh(self, cache_dir):
+        """A memo-replayed reply is refresh-equivalent: its markdown is
+        what a fresh ``--refresh`` run of the same request computes."""
+        svc = ExperimentService(jobs=1, cache_dir=str(cache_dir), memo_limit=8)
+        ids = ["table2", "fig13"]
+        overrides = {"fig13": {"workloads": list(WORKLOADS)}}
+        request = {"op": "run", "experiments": ids, "events": EVENTS,
+                   "cache_mode": "refresh", "run_overrides": overrides}
+        assert svc.handle(dict(request))["served"] == "computed"
+        replay = svc.handle(dict(request))
+        assert replay["ok"] and replay["served"] == "memo"
+        runner.reset_context_memos()
+        fresh = engine.run_suite(ids, events=EVENTS, cache_mode=engine.CACHE_REFRESH,
+                                 cache_dir=str(cache_dir), run_overrides=overrides)
+        assert not fresh.failures
+        assert replay["markdown"] == _markdowns(fresh)
 
     def test_memo_evicts_least_recently_used(self, cache_dir):
         """A hit refreshes its entry: with room for two, A B A C keeps
