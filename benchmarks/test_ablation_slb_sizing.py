@@ -7,39 +7,21 @@ respond monotonically, while the area model prices each point.
 
 from benchmarks.conftest import BENCH_EVENTS, run_once
 from repro.analysis.hwcost import draco_hardware_costs
-from repro.cpu.params import DracoHwParams, SlbSubtableParams
-from repro.experiments.runner import get_context
-from repro.kernel.simulator import run_trace
+from repro.experiments import sweep as hw_sweep
 
-
-def _scaled_hw(scale: float) -> DracoHwParams:
-    return DracoHwParams(
-        slb_subtables=tuple(
-            SlbSubtableParams(
-                arg_count=sub.arg_count,
-                entries=max(sub.ways, int(sub.entries * scale) // sub.ways * sub.ways),
-                ways=sub.ways,
-            )
-            for sub in DracoHwParams().slb_subtables
-        )
-    )
+SCALES = (0.25, 1.0, 4.0)
 
 
 def _sweep(workload: str):
-    ctx = get_context(workload, events=BENCH_EVENTS)
-    out = {}
-    for scale in (0.25, 1.0, 4.0):
-        hw = _scaled_hw(scale)
-        regime = ctx.make_regime("draco-hw-complete", hw=hw)
-        run_trace(
-            ctx.trace, regime, ctx.work_cycles, ctx.syscall_base_cycles,
-            workload_name=workload,
-        )
-        out[scale] = {
-            "access_hit_rate": regime.draco.slb.access_hit_rate,
+    points = hw_sweep.slb_scale_points(SCALES)
+    observations = hw_sweep.sweep(workload, points, events=BENCH_EVENTS)
+    return {
+        scale: {
+            "access_hit_rate": observation.slb_access_hit_rate,
             "slb_area_mm2": draco_hardware_costs(hw)["SLB"].area_mm2,
         }
-    return out
+        for scale, (_, hw, _), observation in zip(SCALES, points, observations)
+    }
 
 
 def test_slb_sizing_sweep(benchmark):

@@ -22,9 +22,10 @@ simulator itself:
   observable words agree are guaranteed the same filter result, so the
   engine can serve the cached decision.
 
-``REPRO_FASTPATH=0`` disables the code generator (the interpreter and
-the memo cache still run); the differential tests use it as the
-reference side.
+``SeccompKernelModule(compile_filters=False)`` — ``fastpath=False`` on
+the Seccomp and Draco regimes — skips the code generator (the
+interpreter and the memo cache still run); the differential tests use
+it as the reference side.
 
 Generated filter sources are large enough that ``compile()`` itself is
 a measurable per-process cost (every engine worker pays it afresh), so

@@ -423,28 +423,6 @@ def scale_counts(counts: Sequence[int], target: int) -> List[int]:
     return floors
 
 
-def sanitize_structures(
-    stats: Mapping[str, Mapping[str, Any]],
-) -> Dict[str, Dict[str, float]]:
-    """Numeric-scalar view of a regime's structure stats.
-
-    Hit/miss/evict counters and the (deterministically rounded) derived
-    rates are kept; timelines and any other non-scalar observability
-    payloads are dropped so results stay cheap to compare and serialize.
-    """
-    sanitized: Dict[str, Dict[str, float]] = {}
-    for name, counters in stats.items():
-        if not isinstance(counters, Mapping):
-            continue
-        block: Dict[str, float] = {}
-        for key, value in counters.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            block[key] = value
-        sanitized[name] = block
-    return sanitized
-
-
 # ---------------------------------------------------------------------------
 # Structure-counter extrapolation (sampled runs)
 # ---------------------------------------------------------------------------
@@ -469,23 +447,16 @@ def extrapolate_structures(
     the warm boundary) plus a steady per-event rate measured over the
     sample: ``full = warm + (end - warm) / sample * (sample + extra)``.
     Derived ``*hit_rate`` keys are recomputed from the projected
-    counters; non-numeric payloads (timelines) are dropped — they are
-    observability data that cannot be extrapolated honestly.
+    counters.
     """
     projected: Dict[str, Dict[str, Any]] = {}
     for name, counters in end.items():
-        if not isinstance(counters, Mapping):
-            continue
         base = warm.get(name, {})
         block: Dict[str, Any] = {}
         for key, value in counters.items():
             if key in _RATE_RULES:
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
             start = base.get(key, 0)
-            if not isinstance(start, (int, float)) or isinstance(start, bool):
-                start = 0
             steady = value - start
             full = start + steady + (
                 steady * extra_events / sample_events if sample_events else 0

@@ -4,7 +4,7 @@ Each :class:`Knob` names one environment variable, the value it takes
 when unset, and its *effect* — which identities it must join:
 
 * :data:`COMPUTE` — changes how a simulation computes its result
-  (kernel tier, BPF fast path).  Folded into every store digest, the
+  (kernel tier).  Folded into every store digest, the
   per-context evaluation memo key, the warm pool's identity and the
   service's request digest;
 * :data:`STORAGE` — changes where results persist or what may be
@@ -60,14 +60,13 @@ class Knob:
 
 
 BULK = Knob("REPRO_BULK", "1", COMPUTE)
-FASTPATH = Knob("REPRO_FASTPATH", "1", COMPUTE)
 ANALYTIC = Knob("REPRO_ANALYTIC", "1", COMPUTE)
 #: Read literally: any non-empty value disables every on-disk cache.
 CACHE_DISABLE = Knob("REPRO_CACHE_DISABLE", "", STORAGE)
 #: Read literally: the cache directory; empty means the default.
 CACHE_DIR = Knob("REPRO_CACHE_DIR", "", STORAGE)
 
-KNOBS: Tuple[Knob, ...] = (BULK, FASTPATH, ANALYTIC, CACHE_DISABLE, CACHE_DIR)
+KNOBS: Tuple[Knob, ...] = (BULK, ANALYTIC, CACHE_DISABLE, CACHE_DIR)
 
 
 def settings(*effects: str) -> Tuple[Tuple[str, str], ...]:

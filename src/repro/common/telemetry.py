@@ -51,11 +51,6 @@ class SimulationCounters:
     regime_check_cycles: Dict[str, float] = field(default_factory=dict)
     regime_flow_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
     regime_flow_cycles: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Per-regime structure counters (SLB/STB/VAT/SPT hit/miss/evict,
-    #: seccomp execution totals), numeric scalars only.
-    regime_structures: Dict[str, Dict[str, Dict[str, float]]] = field(
-        default_factory=dict
-    )
     #: Analytic-backend provenance: traces whose results were
     #: *extrapolated* from a sample rather than simulated exactly, the
     #: events those results account for beyond what was simulated, and
@@ -82,13 +77,6 @@ class SimulationCounters:
                 "counts": dict(sorted(counts.items())),
                 "cycles": {k: round(v, 3) for k, v in sorted(cycles.items())},
             }
-        structures = {
-            regime: {
-                name: {k: round(v, 3) for k, v in sorted(counters.items())}
-                for name, counters in sorted(per_structure.items())
-            }
-            for regime, per_structure in sorted(self.regime_structures.items())
-        }
         payload = {
             "traces_run": self.traces_run,
             "events_simulated": self.events_simulated,
@@ -106,8 +94,6 @@ class SimulationCounters:
         }
         if flows:
             payload["flows"] = flows
-        if structures:
-            payload["structures"] = structures
         if self.derived_traces:
             payload["derived_traces"] = self.derived_traces
             payload["events_extrapolated"] = self.events_extrapolated
@@ -128,23 +114,6 @@ class SimulationCounters:
 _COUNTERS = SimulationCounters()
 
 
-def _merge_structures(
-    target: Dict[str, Dict[str, float]], source: Mapping[str, Any]
-) -> None:
-    """Accumulate numeric structure counters; rates and timelines are
-    derived quantities and are dropped (recompute them from the sums)."""
-    for name, counters in source.items():
-        if not isinstance(counters, Mapping):
-            continue
-        bucket = target.setdefault(name, {})
-        for key, value in counters.items():
-            if key.endswith("_rate") or key == "hit_rate":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            bucket[key] = bucket.get(key, 0) + value
-
-
 def record_simulation(
     regime: str,
     events: int,
@@ -153,7 +122,6 @@ def record_simulation(
     warmup_events: int = 0,
     flow_counts: Optional[Mapping[str, int]] = None,
     flow_cycles: Optional[Mapping[str, float]] = None,
-    structures: Optional[Mapping[str, Any]] = None,
     runs_coalesced: int = 0,
     derived: bool = False,
     events_extrapolated: int = 0,
@@ -163,9 +131,9 @@ def record_simulation(
 
     ``events`` and the cycle totals all cover the measured window;
     warm-up events are reported separately via ``warmup_events``.
-    ``flow_counts``/``flow_cycles`` are the trace's per-flow ledger and
-    ``structures`` its per-structure counters; all three are optional so
-    external callers of the simulator stay source-compatible.
+    ``flow_counts``/``flow_cycles`` are the trace's per-flow ledger; both
+    are optional so external callers of the simulator stay
+    source-compatible.
     ``derived`` marks an analytic sampled run: ``events_extrapolated``
     of its events were accounted without being simulated, with
     ``error_estimate`` as its split-half error bound.
@@ -194,10 +162,6 @@ def record_simulation(
         bucket_cycles = _COUNTERS.regime_flow_cycles.setdefault(regime, {})
         for flow, cycles in flow_cycles.items():
             bucket_cycles[flow] = bucket_cycles.get(flow, 0.0) + cycles
-    if structures:
-        _merge_structures(
-            _COUNTERS.regime_structures.setdefault(regime, {}), structures
-        )
 
 
 def record_context_cache(kind: str, outcome: str) -> None:
@@ -333,10 +297,9 @@ class RunReport:
     started_at: float = 0.0
     finished_at: float = 0.0
     #: Experiment-service block (empty for plain CLI runs): request
-    #: totals, per-request latency percentiles, warm-pool and in-memory
-    #: stage-tier counters.  Written by
-    #: :mod:`repro.experiments.service`, rendered by
-    #: ``summary --service``.
+    #: totals, per-request latency percentiles, request-memo and
+    #: warm-pool counters.  Written by :mod:`repro.experiments.service`,
+    #: rendered by ``summary --service``.
     service: Dict[str, Any] = field(default_factory=dict)
 
     # -- aggregates ----------------------------------------------------
@@ -372,9 +335,6 @@ class RunReport:
             default=0.0,
         )
 
-    def runs_coalesced(self) -> int:
-        return sum(r.simulation.get("runs_coalesced", 0) for r in self.records)
-
     def context_cache(self) -> Dict[str, Dict[str, int]]:
         """Per-kind context-artifact store counters summed across every record."""
         merged: Dict[str, Dict[str, int]] = {}
@@ -384,10 +344,6 @@ class RunReport:
                 for outcome, count in counters.items():
                     bucket[outcome] = bucket.get(outcome, 0) + count
         return {kind: merged[kind] for kind in sorted(merged)}
-
-    def mean_run_length(self) -> float:
-        runs = self.runs_coalesced()
-        return self.events_simulated() / runs if runs else 0.0
 
     def stage_counters(self) -> Dict[str, int]:
         """Stage-graph hit/exec/dedup/store totals summed across records
@@ -411,13 +367,6 @@ class RunReport:
                 rows.append(row)
         return rows
 
-    def regime_cycles(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for record in self.records:
-            for regime, cycles in record.simulation.get("regime_cycles", {}).items():
-                totals[regime] = totals.get(regime, 0.0) + cycles
-        return totals
-
     def flows(self) -> Dict[str, Dict[str, Any]]:
         """Per-regime flow ledger aggregated across every record.
 
@@ -439,14 +388,6 @@ class RunReport:
                     into["counts"][flow] = into["counts"].get(flow, 0) + count
                 for flow, cycles in block.get("cycles", {}).items():
                     into["cycles"][flow] = into["cycles"].get(flow, 0.0) + cycles
-        return {regime: merged[regime] for regime in sorted(merged)}
-
-    def structures(self) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """Per-regime structure counters aggregated across every record."""
-        merged: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for record in self.records:
-            for regime, per_structure in record.simulation.get("structures", {}).items():
-                _merge_structures(merged.setdefault(regime, {}), per_structure)
         return {regime: merged[regime] for regime in sorted(merged)}
 
     def fleet(self) -> Dict[str, Dict[str, float]]:
@@ -730,7 +671,7 @@ class RunReport:
         Request totals, how each request was served (computed on the
         warm pool, replayed from the request memo, or coalesced onto an
         identical in-flight request), per-request latency percentiles,
-        and the warm-pool / in-memory stage-tier counters behind them.
+        and the warm-pool and watch counters behind them.
         """
         block = self.service
         if not block:

@@ -96,7 +96,8 @@ def _summary_main(argv) -> int:
     parser.add_argument(
         "--flows", action="store_true",
         help="also render the per-regime flow ledger (Table I flows) and "
-        "its conservation audit; exits non-zero on drift",
+        "its conservation audit; exits non-zero on drift or when the "
+        "report carries no flow telemetry",
     )
     parser.add_argument(
         "--stages", action="store_true",
@@ -135,7 +136,7 @@ def _summary_main(argv) -> int:
     if args.flows:
         print()
         print(report.format_flows())
-        if report.audit_flow_conservation():
+        if not report.flows() or report.audit_flow_conservation():
             return 1
     return 0
 

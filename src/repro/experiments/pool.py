@@ -68,8 +68,7 @@ def warm_worker() -> None:
     for spec in CATALOG.values():
         profile = _docker_profile_for(spec.table)
         for program in _programs_for(profile, "binary_tree"):
-            if knobs.FASTPATH.enabled():
-                compile_program(program)
+            compile_program(program)
 
 
 def _barrier_task(index: int, delay_s: float) -> int:

@@ -321,7 +321,7 @@ def replay_result(
     # What the live module would have counted: one filter execution per
     # distinct key (the outcome memo absorbs every repeat), each running
     # all `times` attachments.
-    structures_raw = {
+    structures = {
         "seccomp": {
             "checks": len(sweep.returns),
             "memo_hits": 0,
@@ -338,7 +338,7 @@ def replay_result(
         measured=measured,
         warmup_events=windows.warmup,
         runs_coalesced=len(windows.measured),
-        structures_raw=structures_raw,
+        structures=structures,
     )
 
 

@@ -17,8 +17,9 @@ stage of the requests that do reach the stage graph:
    the engine, and a hit makes its entry the most recently used, so
    one-off requests evict cold entries before hot repeats.  Because
    the digest pins the code and knobs, the replayed bytes are exactly
-   what a fresh ``--refresh`` recompute would produce (the service
-   bench asserts this);
+   what a fresh ``--refresh`` recompute would produce (asserted by
+   ``TestSingleFlight.test_memo_replay_equals_fresh_refresh`` in
+   ``tests/test_service.py``);
 2. **single-flight coalescing** — identical requests arriving while
    the first is still computing wait for that flight and share its
    response instead of duplicating work.

@@ -195,9 +195,8 @@ def _shared_outcome_memo(
     use_jit: bool,
     costs: SoftwareCostParams,
     kind: str,
-    fastpath: Optional[bool] = None,
 ) -> Dict[object, CheckOutcome]:
-    key = (kind, id(profile), times, compiler, use_jit, id(costs), fastpath)
+    key = (kind, id(profile), times, compiler, use_jit, id(costs))
     hit = _OUTCOME_MEMO.get(key)
     if hit is not None and hit[0] is profile and hit[1] is costs:
         return hit[2]
@@ -210,7 +209,7 @@ def _attach(
     profile: SeccompProfile,
     times: int,
     compiler: str,
-    fastpath: Optional[bool] = None,
+    fastpath: bool = True,
 ) -> SeccompKernelModule:
     module = SeccompKernelModule(compile_filters=fastpath)
     programs = _programs_for(profile, compiler)
@@ -231,7 +230,7 @@ class SeccompRegime(CheckingRegime):
         use_jit: bool = True,
         costs: SoftwareCostParams = DEFAULT_SW_COSTS,
         name: Optional[str] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
     ) -> None:
         self.name = name or f"seccomp:{profile.name}" + ("" if times == 1 else f"x{times}")
         self.profile = profile
@@ -329,7 +328,7 @@ class DracoSwRegime(CheckingRegime):
         use_jit: bool = True,
         costs: SoftwareCostParams = DEFAULT_SW_COSTS,
         name: Optional[str] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
     ) -> None:
         self.name = name or f"draco-sw:{profile.name}" + ("" if times == 1 else f"x{times}")
         self.profile = profile
@@ -408,7 +407,7 @@ class DracoHwRegime(CheckingRegime):
         preload_enabled: bool = True,
         context_switch_interval_cycles: Optional[float] = 4_000_000.0,
         name: Optional[str] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
     ) -> None:
         self.name = name or f"draco-hw:{profile.name}" + ("" if times == 1 else f"x{times}")
         self.profile = profile

@@ -84,11 +84,9 @@ class RunResult:
     flow_cycles: Dict[str, float] = field(default_factory=dict)
     total_check_cycles: float = 0.0
     warmup_events: int = 0
-    #: Per-structure counters (numeric scalars only; timelines and other
-    #: observability payloads are stripped) captured by the analytic
-    #: backend when the ledger is enabled.  Extrapolated — and flagged
-    #: via :attr:`analytic` — on sampled runs; ``None`` for per-event
-    #: and bulk runs, whose consumers read the regime directly.
+    #: Per-structure counters (``regime.structure_stats()`` at the end
+    #: of the run; ``None`` for regimes that keep none).  Extrapolated —
+    #: and flagged via :attr:`analytic` — on sampled runs.
     structures: Optional[Dict[str, Dict[str, float]]] = None
     #: Provenance of the analytic backend, or ``None`` when the exact
     #: kernels ran.
@@ -223,7 +221,6 @@ def _build_result(
     runs_coalesced: int,
     regime_before,
     structures: Optional[Dict[str, Dict[str, float]]],
-    structures_telemetry: Optional[Dict[str, Any]],
     analytic_info: Optional[AnalyticInfo],
 ) -> RunResult:
     """Common tail of every tier: expand groups, derive the totals,
@@ -259,7 +256,6 @@ def _build_result(
         warmup_events=warmed,
         flow_counts=flow_counts,
         flow_cycles=flow_cycles,
-        structures=structures_telemetry,
         runs_coalesced=runs_coalesced,
         derived=derived,
         events_extrapolated=(
@@ -326,7 +322,6 @@ def _run_exact_window(
         measured += count
 
     regime.analytic_verify()
-    raw_stats = regime.structure_stats()
     return _build_result(
         regime=regime,
         workload_name=workload_name,
@@ -337,12 +332,7 @@ def _run_exact_window(
         warmed=windows.warmup,
         runs_coalesced=len(windows.measured),
         regime_before=regime_before,
-        structures=(
-            analytic_backend.sanitize_structures(raw_stats)
-            if raw_stats is not None
-            else None
-        ),
-        structures_telemetry=raw_stats,
+        structures=regime.structure_stats(),
         analytic_info=AnalyticInfo(
             mode="exact",
             events_simulated=measured,
@@ -373,7 +363,7 @@ def build_exact_replay_result(
     measured: int,
     warmup_events: int,
     runs_coalesced: int,
-    structures_raw: Dict[str, Any],
+    structures: Dict[str, Dict[str, float]],
 ) -> RunResult:
     """Freeze an exact-replay :class:`RunResult` from outcome groups.
 
@@ -397,8 +387,7 @@ def build_exact_replay_result(
         warmed=warmup_events,
         runs_coalesced=runs_coalesced,
         regime_before=None,
-        structures=analytic_backend.sanitize_structures(structures_raw),
-        structures_telemetry=structures_raw,
+        structures=structures,
         analytic_info=AnalyticInfo(
             mode="exact",
             events_simulated=measured,
@@ -614,7 +603,6 @@ def _run_sampled_window(
         runs_coalesced=runs_coalesced,
         regime_before=None,
         structures=structures,
-        structures_telemetry=structures,
         analytic_info=info,
     )
 
@@ -780,7 +768,6 @@ def run_trace(
             f"{warmed + measured} events"
         )
 
-    raw_stats = regime.structure_stats()
     return _build_result(
         regime=regime,
         workload_name=workload_name,
@@ -791,12 +778,7 @@ def run_trace(
         warmed=warmed,
         runs_coalesced=runs_coalesced,
         regime_before=regime_before,
-        structures=(
-            analytic_backend.sanitize_structures(raw_stats)
-            if raw_stats is not None
-            else None
-        ),
-        structures_telemetry=raw_stats,
+        structures=regime.structure_stats(),
         analytic_info=None,
     )
 

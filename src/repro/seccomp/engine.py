@@ -43,7 +43,6 @@ from repro.bpf.insn import Insn
 from repro.bpf.interpreter import run
 from repro.bpf.seccomp_data import SeccompData
 from repro.bpf.verifier import verify
-from repro.common import knobs
 from repro.common.errors import SimulationError
 from repro.seccomp.actions import (
     SECCOMP_RET_ALLOW,
@@ -82,11 +81,11 @@ class SeccompKernelModule:
     """Per-process stack of attached seccomp filters."""
 
     def __init__(
-        self, memoize: bool = True, compile_filters: Optional[bool] = None
+        self, memoize: bool = True, compile_filters: bool = True
     ) -> None:
         self._filters: List[AttachedFilter] = []
         self._memoize = memoize
-        self._compile = knobs.FASTPATH.enabled() if compile_filters is None else compile_filters
+        self._compile = compile_filters
         self._memo: Dict[Any, SeccompDecision] = {}
         self._key_fn: Optional[Callable[[SyscallEvent], Any]] = None
         #: Execution accounting (ledger observability layer): how often
@@ -104,10 +103,6 @@ class SeccompKernelModule:
     @property
     def enabled(self) -> bool:
         return bool(self._filters)
-
-    @property
-    def compiles_filters(self) -> bool:
-        return self._compile
 
     @property
     def total_instructions(self) -> int:

@@ -169,16 +169,17 @@ def _run_result_json(workload, regime_name, monkeypatch, *, bulk, fastpath=True)
     """One (workload, regime) simulation serialized for byte comparison.
 
     ``name*k`` runs the context's trace with every event repeated *k*
-    times, on the exact kernels.  The ledger's conservation audits run
-    inside every simulation, so bulk accounting drift raises before the
-    comparison.
+    times, on the exact kernels.  ``fastpath=False`` builds the regime
+    with its BPF filters on the interpreter instead of compiled code.
+    The ledger's conservation audits run inside every simulation, so
+    bulk accounting drift raises before the comparison.
     """
     from repro.experiments.runner import get_context
     from repro.kernel.simulator import run_trace
     from repro.syscalls.events import SyscallTrace
 
     monkeypatch.setenv("REPRO_BULK", "1" if bulk else "0")
-    monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
+    overrides = {} if fastpath else {"fastpath": False}
     name, _, repeat = workload.partition("*")
     ctx = get_context(name, events=2_000, seed=7)
     if repeat:
@@ -186,13 +187,13 @@ def _run_result_json(workload, regime_name, monkeypatch, *, bulk, fastpath=True)
         trace = SyscallTrace([event for event in ctx.trace for _ in range(int(repeat))])
         result = run_trace(
             trace,
-            ctx.make_regime(regime_name),
+            ctx.make_regime(regime_name, **overrides),
             work_cycles_per_syscall=ctx.work_cycles,
             syscall_base_cycles=ctx.syscall_base_cycles,
             workload_name=workload,
         )
     else:
-        result = ctx.evaluate(regime_name)
+        result = ctx.evaluate(regime_name, **overrides)
     return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
 
@@ -206,8 +207,8 @@ def test_bulk_run_results_byte_identical(workload, regime, monkeypatch):
 
 @pytest.mark.parametrize("regime", ("syscall-complete", "draco-sw-complete"))
 def test_bulk_identity_survives_fastpath_toggle(regime, monkeypatch):
-    # REPRO_BULK and REPRO_FASTPATH are independent axes: the bulk
-    # identity must hold with the BPF code generator disabled too.
+    # The kernel tier and the BPF code generator are independent axes:
+    # the bulk identity must hold with filters on the interpreter too.
     slow = _run_result_json("grep", regime, monkeypatch, bulk=False, fastpath=False)
     fast = _run_result_json("grep", regime, monkeypatch, bulk=True, fastpath=False)
     assert fast == slow

@@ -20,7 +20,7 @@ def _identities():
 
 def test_names_are_unique_and_prefixed():
     names = [knob.name for knob in knobs.KNOBS]
-    assert len(set(names)) == len(names) == 5
+    assert len(set(names)) == len(names) == 4
     assert all(name.startswith("REPRO_") for name in names)
     assert {knob.effect for knob in knobs.KNOBS} == {knobs.COMPUTE, knobs.STORAGE}
 
@@ -40,9 +40,9 @@ def test_unset_reads_as_default(monkeypatch):
 
 
 def test_compute_switch_changes_every_identity(monkeypatch):
-    monkeypatch.delenv(knobs.FASTPATH.name, raising=False)
+    monkeypatch.delenv(knobs.BULK.name, raising=False)
     before = _identities()
-    monkeypatch.setenv(knobs.FASTPATH.name, "0")
+    monkeypatch.setenv(knobs.BULK.name, "0")
     after = _identities()
     assert all(a != b for a, b in zip(before, after))
 

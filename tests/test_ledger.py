@@ -3,12 +3,10 @@
 Covers the ledger primitives (`repro.common.ledger`), the simulator's
 conservation invariant across every regime (with the BPF fast path on
 and off), the per-process attribution in the scheduler/multicore
-models, the telemetry flows block and its renderers, and regressions
-for the warm-up, summary-rendering, and SLB-fill bugfixes.
+models, the telemetry flows block, its renderers and the
+``summary --flows`` gate, and regressions for the warm-up,
+summary-rendering, and SLB-fill bugfixes.
 """
-
-import json
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,7 +28,6 @@ from repro.kernel.scheduler import RoundRobinScheduler, ScheduledProcess
 from repro.kernel.simulator import run_trace
 from repro.seccomp.toolkit import generate_complete
 from repro.syscalls.events import SyscallTrace, make_event
-from repro.tools import flowreport
 
 
 def _trace(events=300, fd_base=3):
@@ -96,27 +93,6 @@ class TestFlowLedger:
         liar = ledger.FlowLedger({"none": 2}, {"none": 6.0})
         with pytest.raises(ledger.ConservationError, match="counted 2 times"):
             liar.audit_against(before, after, scope="t")
-
-
-class TestWindowedCounter:
-    def test_window_closes_and_appends(self):
-        counter = ledger.WindowedCounter(window=4)
-        for hit in (True, True, False, False, True, True, True, True):
-            counter.record(hit)
-        assert counter.timeline == [0.5, 1.0]
-        assert counter.hits == 6 and counter.misses == 2
-        assert counter.hit_rate == 0.75
-
-    def test_reset(self):
-        counter = ledger.WindowedCounter(window=2)
-        counter.record(True)
-        counter.record(False)
-        counter.reset()
-        assert counter.total == 0 and counter.timeline == []
-
-    def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            ledger.WindowedCounter(window=0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +267,17 @@ def _assert_conserves(result):
 )
 @given(trace=_random_traces())
 def test_conservation_across_regimes(fastpath, trace):
-    saved = os.environ.get("REPRO_FASTPATH")
-    os.environ["REPRO_FASTPATH"] = fastpath
-    try:
-        profile = generate_complete(trace, "t")
-        regimes = (
-            InsecureRegime(),
-            SeccompRegime(profile),
-            DracoSwRegime(profile),
-            DracoHwRegime(profile),
-        )
-        for regime in regimes:
-            result = run_trace(trace, regime, 100.0, 150.0, workload_name="w")
-            _assert_conserves(result)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_FASTPATH", None)
-        else:
-            os.environ["REPRO_FASTPATH"] = saved
+    compiled = fastpath == "1"
+    profile = generate_complete(trace, "t")
+    regimes = (
+        InsecureRegime(),
+        SeccompRegime(profile, fastpath=compiled),
+        DracoSwRegime(profile, fastpath=compiled),
+        DracoHwRegime(profile, fastpath=compiled),
+    )
+    for regime in regimes:
+        result = run_trace(trace, regime, 100.0, 150.0, workload_name="w")
+        _assert_conserves(result)
 
 
 def test_flow_tags_cover_every_event():
@@ -386,7 +355,15 @@ class TestScheduledAttribution:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry flows block, report aggregation, flowreport tool
+# Telemetry flows block, report aggregation, the summary --flows gate
+
+
+def _summary_flows(path):
+    """Exit code of ``python -m repro.experiments summary --flows`` on
+    the report at *path*."""
+    from repro.experiments.__main__ import main
+
+    return main(["summary", "--flows", "--report", str(path)])
 
 
 @pytest.fixture
@@ -402,13 +379,12 @@ class TestTelemetryFlows:
         profile = generate_complete(trace, "t")
         run_trace(trace, DracoHwRegime(profile), 100.0, 150.0, workload_name="w")
         snap = telemetry.counters_snapshot()
-        assert "flows" in snap and "structures" in snap
+        assert "flows" in snap
         ((regime, block),) = snap["flows"].items()
         assert regime.startswith("draco-hw")
         assert block["events"] == sum(block["counts"].values())
-        assert "slb" in snap["structures"][regime]
 
-    def test_report_flows_aggregate_and_conserve(self, _fresh_counters):
+    def test_report_flows_aggregate_and_conserve(self, _fresh_counters, tmp_path):
         trace = _trace()
         profile = generate_complete(trace, "t")
         run_trace(trace, SeccompRegime(profile), 100.0, 150.0)
@@ -423,6 +399,9 @@ class TestTelemetryFlows:
         ]["events"]
         assert report.audit_flow_conservation() == []
         assert "conservation: ok" in report.format_flows()
+        path = tmp_path / "live.json"
+        report.write(path)
+        assert _summary_flows(path) == 0
 
     def test_count_drift_is_detected(self):
         simulation = {
@@ -447,54 +426,9 @@ class TestTelemetryFlows:
 
 
 class TestFlowReportTool:
-    def test_hw_hit_rates_formulas(self):
-        counts = {
-            ledger.FLOW_HW_1: 50,
-            ledger.FLOW_HW_2: 10,
-            ledger.FLOW_HW_3: 20,
-            ledger.FLOW_HW_4: 5,
-            ledger.FLOW_HW_5: 10,
-            ledger.FLOW_HW_6: 5,
-        }
-        rates = flowreport.hw_hit_rates(counts)
-        assert rates["argument_flows"] == 100
-        assert rates["stb_hit_rate"] == pytest.approx(0.85)
-        assert rates["slb_preload_hit_rate"] == pytest.approx(60 / 85)
-        assert rates["slb_access_hit_rate"] == pytest.approx(0.80)
-
-    def _write_report(self, tmp_path, _fresh=None):
-        telemetry.reset_counters()
-        trace = _trace()
-        profile = generate_complete(trace, "t")
-        run_trace(trace, DracoHwRegime(profile), 100.0, 150.0, workload_name="w")
-        record = ExperimentRecord(
-            experiment_id="e", simulation=telemetry.counters_snapshot()
-        )
-        telemetry.reset_counters()
-        report = RunReport(records=[record])
-        path = tmp_path / "latest.json"
-        report.write(path)
-        return report, path
-
-    def test_build_report_document(self, tmp_path):
-        report, _ = self._write_report(tmp_path)
-        document = flowreport.build_report(report)
-        assert document["schema"] == flowreport.SCHEMA
-        assert document["conservation"]["ok"]
-        ((_, entry),) = document["regimes"].items()
-        assert entry["hit_rates"]["argument_flows"] > 0
-        assert "slb" in entry["structures"]
-        assert 0.0 <= entry["structure_hit_rates"]["vat_hit_rate"] <= 1.0
-
-    def test_cli_check_passes_and_writes(self, tmp_path, capsys):
-        _, path = self._write_report(tmp_path)
-        out_path = tmp_path / "flows.json"
-        code = flowreport.main(
-            ["--report", str(path), "--check", "--output", str(out_path)]
-        )
-        assert code == 0
-        document = json.loads(out_path.read_text())
-        assert document["conservation"]["ok"]
+    """``python -m repro.experiments summary --flows`` as the flow-ledger
+    gate: it exits non-zero on conservation drift and on a report that
+    carries no flow telemetry."""
 
     def test_cli_check_fails_on_drift(self, tmp_path, capsys):
         report = RunReport(
@@ -517,11 +451,11 @@ class TestFlowReportTool:
         )
         path = tmp_path / "bad.json"
         report.write(path)
-        assert flowreport.main(["--report", str(path), "--check"]) == 1
-        assert "conservation drift" in capsys.readouterr().err
+        assert _summary_flows(path) == 1
+        assert "CONSERVATION DRIFT" in capsys.readouterr().out
 
     def test_cli_check_fails_without_flow_telemetry(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         RunReport(records=[ExperimentRecord("e")]).write(path)
-        assert flowreport.main(["--report", str(path), "--check"]) == 1
-        assert "no flow telemetry" in capsys.readouterr().err
+        assert _summary_flows(path) == 1
+        assert "no flow telemetry" in capsys.readouterr().out

@@ -86,7 +86,7 @@ class TestWarmPool:
         engine.run_suite(["fig13"], jobs=2, cache_mode=engine.CACHE_OFF,
                          run_overrides=overrides)
         first_key = warm_pool.pool_key(2)
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
+        monkeypatch.setenv("REPRO_BULK", "0")
         assert warm_pool.pool_key(2) != first_key
         recycled_before = warm_pool.stats()["recycled"]
         engine.run_suite(["fig13"], jobs=2, cache_mode=engine.CACHE_OFF,
