@@ -33,8 +33,8 @@ the resulting code objects are also persisted as their own kind of
 the artifact store (``store/bpf-code/<tag>/``, see
 :mod:`repro.common.storage`): checksummed ``marshal`` payloads keyed
 by source hash and interpreter magic — a warm process skips straight
-to ``exec``.  ``REPRO_CACHE_DISABLE`` turns it off with the rest of
-the store.
+to ``exec``.  ``--no-cache`` turns it off with the rest of the
+store.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ The simulator has three ways to drive a trace through a checking regime
 
 1. **per-event** — the literal ``[check; advance]`` loop;
 2. **RLE bulk** — run-length-encoded consumption with steady-state
-   bulk checks (switch ``REPRO_BULK``), bit-identical to per-event;
+   bulk checks (regimes built with ``bulk=True``, the default),
+   bit-identical to per-event;
 3. **analytic** — this module: whole-window costs computed in closed
    form from the trace's *distinct-event histogram* wherever the
    regime's structure state reaches a steady fixed point.
@@ -44,56 +45,30 @@ Such results are flagged ``derived`` and carry a split-half error
 estimate; the differential tests assert its bound.
 
 The warm-up sample is sized by the trace's *characteristic time* — the
-Che approximation applied to the empirical event probabilities — which
-is also the model-level machinery exported here:
-
-The hit-rate fixed point.  For an LRU-like structure of capacity ``C``
-serving independent references with probabilities ``p_i``, the Che
-characteristic time ``T`` solves::
+Che approximation applied to the empirical event probabilities.  For an
+LRU-like structure of capacity ``C`` serving independent references
+with probabilities ``p_i``, the characteristic time ``T`` solves::
 
     sum_i (1 - exp(-p_i * T)) = C
-
-and the steady-state hit rate is ``H = sum_i p_i * (1 - exp(-p_i T))``.
 
 >>> probs = [0.4, 0.3, 0.2, 0.1]
 >>> t = che_characteristic_time(probs, capacity=2)
 >>> round(sum(1 - math.exp(-p * t) for p in probs), 6)  # occupancy == C
 2.0
->>> 0.5 < steady_hit_rate(probs, capacity=2) < 0.7   # skew helps: H > C/N
-True
->>> steady_hit_rate(probs, capacity=4)               # fits entirely
-1.0
-
-A uniform population gets no skew benefit — the hit rate collapses to
-the capacity ratio as the population grows:
-
->>> h = steady_hit_rate([1 / 64] * 64, capacity=16)
->>> 0.24 < h < 0.33
-True
-
-The events-per-quantum fixed point.  A scheduler quantum of ``Q``
-cycles fits ``q`` syscalls where ``q = Q / (W + S + check(q))`` and the
-mean check cost itself depends on how warm ``q`` events leave the
-structures — a contraction solved by :func:`fixed_point`:
-
->>> q, iters = fixed_point(lambda q: 1000.0 / (4.0 + 1000.0 / (1.0 + q)), 1.0)
->>> round(q * (4.0 + 1000.0 / (1.0 + q)), 3)         # q really is a fixed point
-1000.0
 
 Everything here lives in ``repro.common`` so the kernel layer and the
 experiment runner can consult it without import cycles.  The switch
 itself is :data:`repro.common.knobs.ANALYTIC`: ``REPRO_ANALYTIC=0``
-sends every run to the RLE bulk kernel (or per-event under
-``REPRO_BULK=0``).
+sends every run to the RLE bulk kernel (or to the per-event kernel for
+regimes built with ``bulk=False``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common import knobs
 from repro.common.memo import memo_insert
 
 #: Version of the analytic backend's numerical contract.  Bumped when
@@ -104,8 +79,9 @@ ANALYTIC_VERSION = 1
 
 #: Below this trace length the sampled hardware path never engages:
 #: short traces are transient-dominated and the exact kernels are
-#: already fast.  (Unit tests at 3000 events and the benchmark suite at
-#: 8000 events therefore always see exact hardware results.)
+#: already fast.  (Unit tests at 3000 events therefore always see exact
+#: hardware results; the experiment suite's default 12,000 events are
+#: above it, so Figure 12's hardware evaluations are sampled.)
 HW_MIN_EVENTS = 10_000
 
 #: Bounds on the sampled hardware plan (events).
@@ -146,22 +122,22 @@ HW_ERROR_FLOOR = 0.02
 
 
 def resolve_backend(override: Optional[str] = None) -> str:
-    """The backend-selection seam for the kernel layer.
+    """The backend-selection seam for the schedulers.
 
     Returns ``"analytic"``, ``"bulk"`` or ``"event"``: the explicit
-    *override* when given, otherwise the environment's tier order
-    (``REPRO_ANALYTIC`` > ``REPRO_BULK`` > per-event).  Callers that
-    cannot honour a tier degrade one step: the scheduler and multicore
-    system treat ``"analytic"`` as ``"bulk"``, because quantum
-    boundaries are exactly the transients the analytic backend excludes.
+    *override* when given, otherwise ``"bulk"``.  Callers that cannot
+    honour a tier degrade one step: the scheduler and multicore system
+    treat ``"analytic"`` as ``"bulk"``, because quantum boundaries are
+    exactly the transients the analytic backend excludes.
+
+    >>> resolve_backend(), resolve_backend("event")
+    ('bulk', 'event')
     """
-    if override is not None:
-        if override not in ("analytic", "bulk", "event"):
-            raise ValueError(f"unknown simulation backend {override!r}")
-        return override
-    if knobs.ANALYTIC.enabled():
-        return "analytic"
-    return "bulk" if knobs.BULK.enabled() else "event"
+    if override is None:
+        return "bulk"
+    if override not in ("analytic", "bulk", "event"):
+        raise ValueError(f"unknown simulation backend {override!r}")
+    return override
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +400,10 @@ def scale_counts(counts: Sequence[int], target: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Structure-counter extrapolation (sampled runs)
+# Structure counters over the measured window
 # ---------------------------------------------------------------------------
 
-#: Derived hit-rate keys recomputed from their extrapolated counters.
+#: Derived hit-rate keys recomputed from their windowed counters.
 _RATE_RULES = {
     "hit_rate": ("hits", "misses"),
     "access_hit_rate": ("access_hits", "access_misses"),
@@ -435,43 +411,46 @@ _RATE_RULES = {
 }
 
 
-def extrapolate_structures(
-    warm: Mapping[str, Mapping[str, Any]],
+def window_structures(
+    start: Mapping[str, Mapping[str, Any]],
     end: Mapping[str, Mapping[str, Any]],
-    sample_events: int,
-    extra_events: int,
+    sample_events: int = 0,
+    extra_events: int = 0,
 ) -> Dict[str, Dict[str, Any]]:
-    """Project sampled structure counters onto the full trace.
+    """Structure counters over one window: ``end - start`` per counter
+    (a gauge such as the VAT's ``entries`` reads as its growth), with
+    the derived ``*hit_rate`` keys recomputed from the differences.
 
-    Each numeric counter is modelled as a cold transient (its value at
-    the warm boundary) plus a steady per-event rate measured over the
-    sample: ``full = warm + (end - warm) / sample * (sample + extra)``.
-    Derived ``*hit_rate`` keys are recomputed from the projected
-    counters.
+    The sampled tier measures a ``sample_events`` window and projects
+    each difference onto ``extra_events`` more events at its sampled
+    per-event rate: ``steady + steady * extra / sample``.
+
+    >>> window_structures({"stb": {"hits": 2, "misses": 2, "hit_rate": 0.5}},
+    ...                   {"stb": {"hits": 9, "misses": 3, "hit_rate": 0.75}})
+    {'stb': {'hits': 7, 'misses': 1, 'hit_rate': 0.875}}
     """
-    projected: Dict[str, Dict[str, Any]] = {}
+    window: Dict[str, Dict[str, Any]] = {}
     for name, counters in end.items():
-        base = warm.get(name, {})
+        base = start.get(name, {})
         block: Dict[str, Any] = {}
         for key, value in counters.items():
             if key in _RATE_RULES:
                 continue
-            start = base.get(key, 0)
-            steady = value - start
-            full = start + steady + (
-                steady * extra_events / sample_events if sample_events else 0
-            )
-            block[key] = int(round(full)) if isinstance(value, int) else full
+            steady = value - base.get(key, 0)
+            if sample_events:
+                projected = steady + steady * extra_events / sample_events
+                steady = int(round(projected)) if isinstance(value, int) else projected
+            block[key] = steady
         for rate, (hit_key, miss_key) in _RATE_RULES.items():
             if rate in counters and hit_key in block and miss_key in block:
                 denom = block[hit_key] + block[miss_key]
                 block[rate] = round(block[hit_key] / denom, 6) if denom else 0.0
-        projected[name] = block
-    return projected
+        window[name] = block
+    return window
 
 
 # ---------------------------------------------------------------------------
-# Hit-rate fixed points (the module doctstring states the formulas)
+# Che characteristic time (sizes the sampled plan's warm-up)
 # ---------------------------------------------------------------------------
 
 
@@ -511,97 +490,3 @@ def che_characteristic_time(probs: Sequence[float], capacity: float) -> float:
         if hi - lo <= 1e-9 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
-
-
-def steady_hit_rate(probs: Sequence[float], capacity: float) -> float:
-    """Steady-state hit rate of a capacity-*capacity* structure under
-    the Che approximation: ``H = sum_i p_i * (1 - exp(-p_i * T))``.
-
-    >>> steady_hit_rate([0.5, 0.5], 2)       # everything resident
-    1.0
-    >>> 0.49 < steady_hit_rate([0.5, 0.5], 1.0) < 0.51
-    True
-    """
-    if not probs or any(p <= 0 for p in probs):
-        raise ValueError("probabilities must be positive")
-    if capacity >= len(probs):
-        return 1.0
-    if capacity <= 0:
-        return 0.0
-    t = che_characteristic_time(probs, capacity)
-    return sum(p * (1.0 - math.exp(-p * t)) for p in probs)
-
-
-def fixed_point(
-    f: Callable[[float], float],
-    x0: float,
-    tol: float = 1e-9,
-    max_iter: int = 256,
-) -> Tuple[float, int]:
-    """Iterate ``x = f(x)`` to convergence; returns ``(x, iterations)``.
-
-    Precondition: ``f`` is a contraction near the fixed point (all the
-    hit-rate and events-per-quantum maps used here are — their slopes
-    are damped by the exponential forms above).  Raises ``ValueError``
-    when *max_iter* iterations do not converge.
-
-    >>> x, n = fixed_point(lambda x: 0.5 * x + 1.0, 0.0)
-    >>> round(x, 6), n < 64
-    (2.0, True)
-    """
-    x = float(x0)
-    for iteration in range(1, max_iter + 1):
-        x1 = f(x)
-        if not math.isfinite(x1):
-            raise ValueError("fixed-point iteration diverged")
-        if abs(x1 - x) <= tol * max(1.0, abs(x1)):
-            return x1, iteration
-        x2 = f(x1)
-        if not math.isfinite(x2):
-            raise ValueError("fixed-point iteration diverged")
-        if abs(x2 - x1) <= tol * max(1.0, abs(x2)):
-            return x2, iteration
-        # Aitken Δ² (Steffensen) acceleration: plain iteration needs
-        # hundreds of steps when the slope nears 1 (tight quanta make
-        # the events-per-quantum map almost affine); the accelerated
-        # update is quadratic wherever the slope is below 1.  Fall back
-        # to the plain step when the acceleration is degenerate or
-        # leaves f's domain.
-        nxt = x2
-        denom = x2 - 2.0 * x1 + x
-        if denom != 0.0:
-            accel = x - (x1 - x) ** 2 / denom
-            if math.isfinite(accel):
-                fa = f(accel)
-                if math.isfinite(fa):
-                    if abs(fa - accel) <= tol * max(1.0, abs(fa)):
-                        return fa, iteration
-                    nxt = accel
-        x = nxt
-    raise ValueError(f"no fixed point within {max_iter} iterations")
-
-
-def quantum_events_fixed_point(
-    quantum_cycles: float,
-    work_cycles: float,
-    base_cycles: float,
-    mean_check: Callable[[float], float],
-) -> float:
-    """Events per scheduler quantum: ``q = Q / (W + S + check(q))``.
-
-    ``mean_check(q)`` models how warm ``q`` events leave the structures
-    (e.g. via :func:`steady_hit_rate`); the composite map is a
-    contraction because the check cost is bounded and monotone.
-
-    >>> q = quantum_events_fixed_point(4e6, 250.0, 150.0, lambda q: 20.0)
-    >>> round(q, 1)
-    9523.8
-    """
-    if quantum_cycles <= 0:
-        raise ValueError("quantum must be positive")
-    q, _ = fixed_point(
-        lambda q: quantum_cycles
-        / max(work_cycles + base_cycles + mean_check(max(q, 0.0)), 1e-9),
-        quantum_cycles / max(work_cycles + base_cycles, 1e-9),
-    )
-    return q

@@ -7,14 +7,17 @@ when unset, and its *effect* — which identities it must join:
   (kernel tier).  Folded into every store digest, the
   per-context evaluation memo key, the warm pool's identity and the
   service's request digest;
-* :data:`STORAGE` — changes where results persist or what may be
-  served from persistent storage.  Joins the evaluation memo key, the
-  pool identity and the request digest, but not store digests (an
-  artifact is the same wherever it is stored).
+* :data:`STORAGE` — changes where results persist.  Joins the
+  evaluation memo key, the pool identity and the request digest, but
+  not store digests (an artifact is the same wherever it is stored).
 
 Readers consult ``os.environ`` on every call, so a switch flipped
 mid-process takes effect at once.  A new switch is one more entry in
-:data:`KNOBS`; no other module reads a ``REPRO_*`` variable.
+:data:`KNOBS`; no other module reads a ``REPRO_*`` variable.  A choice
+that already has a selector is not a switch: the per-event reference
+kernel is the regimes' ``bulk=False`` argument (``backend="event"`` in
+the schedulers), and the store is turned off by ``--no-cache``
+(:func:`repro.common.storage.cache_overrides`).
 """
 
 from __future__ import annotations
@@ -59,14 +62,11 @@ class Knob:
         return self.value().lower() not in _OFF
 
 
-BULK = Knob("REPRO_BULK", "1", COMPUTE)
 ANALYTIC = Knob("REPRO_ANALYTIC", "1", COMPUTE)
-#: Read literally: any non-empty value disables every on-disk cache.
-CACHE_DISABLE = Knob("REPRO_CACHE_DISABLE", "", STORAGE)
 #: Read literally: the cache directory; empty means the default.
 CACHE_DIR = Knob("REPRO_CACHE_DIR", "", STORAGE)
 
-KNOBS: Tuple[Knob, ...] = (BULK, ANALYTIC, CACHE_DISABLE, CACHE_DIR)
+KNOBS: Tuple[Knob, ...] = (ANALYTIC, CACHE_DIR)
 
 
 def settings(*effects: str) -> Tuple[Tuple[str, str], ...]:

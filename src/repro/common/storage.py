@@ -4,8 +4,9 @@ The experiment artifact store (:mod:`repro.experiments.cache`) and the
 BPF compiler's code-object kind (:mod:`repro.bpf.compile`) sit at
 opposite ends of the import graph, but they must agree on where the
 store lives and when it is enabled — one ``REPRO_CACHE_DIR`` and one
-``REPRO_CACHE_DISABLE``.  This module owns those decisions plus the
-atomic write discipline, and depends on nothing above ``repro.common``.
+:func:`cache_overrides` block (what ``--no-cache`` opens).  This module
+owns those decisions plus the atomic write discipline, and depends on
+nothing above ``repro.common``.
 
 All writes are temp-file-then-``os.replace`` so concurrent workers
 never observe a torn entry; all reads treat a missing, truncated, or
@@ -24,10 +25,9 @@ from typing import Any, Iterator, Optional, Tuple
 
 from repro.common import knobs
 
-#: Environment variables: cache directory and disable-everything flag
-#: (declared in :mod:`repro.common.knobs`).
+#: Environment variable naming the cache directory (declared in
+#: :mod:`repro.common.knobs`).
 CACHE_DIR_ENV = knobs.CACHE_DIR.name
-CACHE_DISABLE_ENV = knobs.CACHE_DISABLE.name
 
 #: Directory under the cache root holding every persisted artifact as
 #: ``<kind>/<digest>``; run reports live beside it in ``runs/``.
@@ -35,8 +35,9 @@ STORE_DIR = "store"
 
 
 #: Context-local overrides for the cache directory and disable flag.
-#: The environment variables stay the *outer defaults*; the engine and
-#: the long-running experiment service apply per-run settings through
+#: ``REPRO_CACHE_DIR`` stays the *outer default* directory and the
+#: store is on unless a block disables it; the engine and the
+#: long-running experiment service apply per-run settings through
 #: :func:`cache_overrides` instead of mutating ``os.environ``, which is
 #: process-global and therefore unsafe once concurrent requests share a
 #: process.  ContextVars are per-thread (and per-task), so two service
@@ -59,9 +60,9 @@ def cache_overrides(
     """Apply context-local cache settings for the duration of a block.
 
     ``cache_dir=None`` / ``disable=None`` leave the corresponding
-    setting untouched (falling through to the environment); any other
-    value overrides the environment until the block exits.  Nested
-    blocks restore the previous override on exit.
+    setting untouched (falling through to ``REPRO_CACHE_DIR`` and to an
+    enabled store); any other value applies until the block exits.
+    Nested blocks restore the previous override on exit.
     """
     tokens = []
     if cache_dir is not None:
@@ -82,12 +83,9 @@ def cache_override_key() -> Tuple[Optional[str], Optional[bool]]:
 
 
 def cache_enabled() -> bool:
-    """True unless disabled by an active override or, absent one,
-    ``REPRO_CACHE_DISABLE`` set to a non-empty value."""
-    override = _CACHE_DISABLE_OVERRIDE.get()
-    if override is not None:
-        return not override
-    return not knobs.CACHE_DISABLE.value()
+    """True unless an active :func:`cache_overrides` block disables the
+    store."""
+    return not _CACHE_DISABLE_OVERRIDE.get()
 
 
 def cache_root() -> Path:

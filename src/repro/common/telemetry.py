@@ -43,9 +43,6 @@ class SimulationCounters:
     runs_coalesced: int = 0
     check_cycles: float = 0.0
     total_cycles: float = 0.0
-    #: Per-regime totals over the measured (post-warm-up) window.
-    regime_cycles: Dict[str, float] = field(default_factory=dict)
-    regime_events: Dict[str, int] = field(default_factory=dict)
     #: Per-regime checking cycles (the per-flow ledger's conservation
     #: reference) and per-(regime, flow) event/cycle buckets.
     regime_check_cycles: Dict[str, float] = field(default_factory=dict)
@@ -89,8 +86,6 @@ class SimulationCounters:
             ),
             "check_cycles": round(self.check_cycles, 3),
             "total_cycles": round(self.total_cycles, 3),
-            "regime_cycles": {k: round(v, 3) for k, v in sorted(self.regime_cycles.items())},
-            "regime_events": dict(sorted(self.regime_events.items())),
         }
         if flows:
             payload["flows"] = flows
@@ -149,8 +144,6 @@ def record_simulation(
     _COUNTERS.runs_coalesced += runs_coalesced
     _COUNTERS.check_cycles += check_cycles
     _COUNTERS.total_cycles += total_cycles
-    _COUNTERS.regime_cycles[regime] = _COUNTERS.regime_cycles.get(regime, 0.0) + total_cycles
-    _COUNTERS.regime_events[regime] = _COUNTERS.regime_events.get(regime, 0) + events
     _COUNTERS.regime_check_cycles[regime] = (
         _COUNTERS.regime_check_cycles.get(regime, 0.0) + check_cycles
     )

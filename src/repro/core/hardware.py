@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.common import knobs
 from repro.common import ledger as common_ledger
 from repro.core.flows import Flow, classify
 from repro.core.slb import HashId, Slb
@@ -127,6 +126,7 @@ class HardwareDraco:
         preload_enabled: bool = True,
         use_jit: bool = True,
         speculation_safe: bool = True,
+        bulk: bool = True,
     ) -> None:
         self.tables = tables
         self.seccomp = seccomp
@@ -151,8 +151,9 @@ class HardwareDraco:
         #: Steady-state memo (bulk fast path): event -> (result, kind,
         #: *replay refs).  An entry stays valid while the exact structure
         #: entries its walk touched remain resident — see
-        #: :meth:`steady_probe`.
-        self._bulk = knobs.BULK.enabled()
+        #: :meth:`steady_probe`.  ``bulk=False`` keeps it off (the
+        #: per-event reference).
+        self._bulk = bulk
         self._steady: Dict[SyscallEvent, tuple] = {}
         self._populate_spt()
 

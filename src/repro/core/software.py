@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import knobs, ledger
+from repro.common import ledger
 from repro.core.spt import SoftwareSPT, SptEntry
 from repro.core.vat import VAT
 from repro.cpu.params import DEFAULT_SW_COSTS, SoftwareCostParams
@@ -173,6 +173,7 @@ class SoftwareDraco:
         seccomp: SeccompKernelModule,
         costs: SoftwareCostParams = DEFAULT_SW_COSTS,
         use_jit: bool = True,
+        bulk: bool = True,
     ) -> None:
         self.tables = tables
         self.seccomp = seccomp
@@ -183,7 +184,8 @@ class SoftwareDraco:
         #: for the two pure fast paths (VAT hit, SPT-only).  The epoch is
         #: the VAT's mutation counter — any insert (cuckoo relocations
         #: may evict) or flush lazily invalidates every entry.
-        self._bulk = knobs.BULK.enabled()
+        #: ``bulk=False`` keeps it off (the per-event reference).
+        self._bulk = bulk
         self._steady: Dict[SyscallEvent, Tuple[int, CheckOutcome]] = {}
 
     #: Steady-memo size cap (safety valve, as in the hardware model).

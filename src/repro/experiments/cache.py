@@ -42,8 +42,9 @@ Layout (under :func:`cache_root`, default ``~/.cache/repro-draco`` or
     runs/latest.json                     most recent run report
     runs/run-<timestamp>.json            archived run reports
 
-Set ``REPRO_CACHE_DISABLE=1`` (or pass ``--no-cache`` to the CLI) to
-bypass every read and write.  All writes are atomic
+Pass ``--no-cache`` to the CLI (``cache_mode="off"``, a
+:func:`repro.common.storage.cache_overrides` block with
+``disable=True``) to bypass every read and write.  All writes are atomic
 (temp-file-then-rename) so concurrent engine workers never observe a
 torn entry.
 """
@@ -61,7 +62,6 @@ from repro.common import knobs
 from repro.common.analytic import ANALYTIC_VERSION
 from repro.common.storage import (
     CACHE_DIR_ENV,
-    CACHE_DISABLE_ENV,
     STORE_DIR,
     cache_enabled,
     cache_root,
@@ -76,7 +76,6 @@ from repro.workloads.catalog import CATALOG
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CACHE_DISABLE_ENV",
     "COMPILER_VERSION",
     "SIM_KERNEL_VERSION",
     "STORE_FORMAT_VERSION",

@@ -117,15 +117,14 @@ def _bundle_for(spec: WorkloadSpec, seed: int) -> ProfileBundle:
 
 def _runtime_env_key() -> Tuple[object, ...]:
     """Key of the per-context evaluation memo: every switch that changes
-    what a simulation computes or may serve from persistent storage
+    what a simulation computes or where it persists
     (:mod:`repro.common.knobs`), so toggling one mid-process (the
-    differential tests flip ``REPRO_BULK`` and ``REPRO_CACHE_DISABLE``)
-    re-runs instead of serving a result the new setting forbids.
+    differential tests flip ``REPRO_ANALYTIC``) re-runs instead of
+    serving a result the new setting forbids.
 
-    Context-local cache overrides (the engine/service replacement for
-    mutating the cache environment variables) change what evaluate()
-    may serve exactly like their environment counterparts, so they key
-    the memo too.
+    Context-local cache overrides (``--no-cache`` and the engine's and
+    service's cache directory) change what evaluate() may serve, so
+    they key the memo too.
     """
     return knobs.settings(knobs.COMPUTE, knobs.STORAGE) + storage.cache_override_key()
 

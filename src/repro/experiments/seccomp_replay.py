@@ -25,8 +25,8 @@ parameters, profile role and compiler strategy.
 ``syscall-complete``, ``syscall-complete-2x``, and the calibration
 probe all share the single ``complete`` sweep.
 
-Replays are only served when both the store (``REPRO_CACHE_DISABLE``
-unset) and the analytic backend (``REPRO_ANALYTIC``) are enabled —
+Replays are only served when both the store (no ``--no-cache``) and
+the analytic backend (``REPRO_ANALYTIC``) are enabled —
 with the analytic tier off, every run goes through the exact kernels,
 as ``docs/PERFORMANCE.md`` promises.  Callers gate; this module
 assumes it.
@@ -318,14 +318,16 @@ def replay_result(
             groups[outcome] = grouped + count
         measured += count
 
-    # What the live module would have counted: one filter execution per
-    # distinct key (the outcome memo absorbs every repeat), each running
-    # all `times` attachments.
+    # What the live module would have counted over the measured window:
+    # one filter execution per distinct key first seen there (the
+    # outcome memo absorbs every repeat), each running all `times`
+    # attachments.  Keys are numbered in first-seen order, warm first.
+    first_measured = len(set(sweep.warm_keys))
     structures = {
         "seccomp": {
-            "checks": len(sweep.returns),
+            "checks": len(sweep.returns) - first_measured,
             "memo_hits": 0,
-            "instructions_executed": times * sum(sweep.insns),
+            "instructions_executed": times * sum(sweep.insns[first_measured:]),
         }
     }
     replays_served += 1

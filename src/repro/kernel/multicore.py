@@ -97,7 +97,7 @@ class MultiCoreSystem:
     def _run_quantum(
         self, core: DracoCore, process: ScheduledProcess, strict: bool, bulk: bool
     ) -> int:
-        pipeline = core.schedule(process)
+        pipeline = core.schedule(process, bulk)
         cold = core.last_schedule_cold
         cycles_start = process.check_cycles
         end = min(process.cursor + self.quantum, len(process.trace))
@@ -117,11 +117,12 @@ class MultiCoreSystem:
         """Interleave quanta round-robin across cores until all traces
         complete.
 
-        *backend* overrides the kernel tier (``"analytic"``, ``"bulk"``
-        or ``"event"``); ``None`` follows the environment.  As in the
+        *backend* selects the kernel tier (``"analytic"``, ``"bulk"``
+        or ``"event"``); ``None`` means ``"bulk"``.  As in the
         single-core scheduler, ``"analytic"`` degrades to the exact RLE
         bulk kernel — every quantum ends in exactly the transient the
-        analytic tier excludes.
+        analytic tier excludes — and ``"event"`` also builds the
+        pipelines without their steady-state memo.
         """
         if not any(self._run_queues):
             raise ConfigError("no processes assigned")

@@ -19,7 +19,6 @@ import abc
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common import analytic as analytic_backend
-from repro.common import knobs
 from repro.common import ledger as common_ledger
 from repro.common.errors import AnalyticPreconditionError
 from repro.common.memo import memo_insert
@@ -64,8 +63,10 @@ class CheckingRegime(abc.ABC):
 
         This default performs the sequence literally; regimes override
         it with provably-equivalent steady-state shortcuts (the bulk
-        fast path).  Callers that consume runs must *not* also call
-        :meth:`advance` for the covered events.
+        fast path), which a regime built with ``bulk=False`` never
+        takes — that is the per-event reference kernel.  Callers that
+        consume runs must *not* also call :meth:`advance` for the
+        covered events.
         """
         segments: List[Tuple[CheckOutcome, int]] = []
         for _ in range(count):
@@ -231,6 +232,7 @@ class SeccompRegime(CheckingRegime):
         costs: SoftwareCostParams = DEFAULT_SW_COSTS,
         name: Optional[str] = None,
         fastpath: bool = True,
+        bulk: bool = True,
     ) -> None:
         self.name = name or f"seccomp:{profile.name}" + ("" if times == 1 else f"x{times}")
         self.profile = profile
@@ -246,7 +248,7 @@ class SeccompRegime(CheckingRegime):
         # earlier in the process and break RunResult byte-identity.
         self._outcome_memo: Dict[object, CheckOutcome] = {}
         self._ledger = common_ledger.FlowLedger()
-        self._bulk = knobs.BULK.enabled()
+        self._bulk = bulk
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
         key = self.module.memo_key(event)
@@ -329,6 +331,7 @@ class DracoSwRegime(CheckingRegime):
         costs: SoftwareCostParams = DEFAULT_SW_COSTS,
         name: Optional[str] = None,
         fastpath: bool = True,
+        bulk: bool = True,
     ) -> None:
         self.name = name or f"draco-sw:{profile.name}" + ("" if times == 1 else f"x{times}")
         self.profile = profile
@@ -338,6 +341,7 @@ class DracoSwRegime(CheckingRegime):
             _attach(profile, times, compiler, fastpath=fastpath),
             costs=costs,
             use_jit=use_jit,
+            bulk=bulk,
         )
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
@@ -408,6 +412,7 @@ class DracoHwRegime(CheckingRegime):
         context_switch_interval_cycles: Optional[float] = 4_000_000.0,
         name: Optional[str] = None,
         fastpath: bool = True,
+        bulk: bool = True,
     ) -> None:
         self.name = name or f"draco-hw:{profile.name}" + ("" if times == 1 else f"x{times}")
         self.profile = profile
@@ -422,10 +427,11 @@ class DracoHwRegime(CheckingRegime):
             hierarchy=self.hierarchy,
             preload_enabled=preload_enabled,
             use_jit=use_jit,
+            bulk=bulk,
         )
         self._cs_interval = context_switch_interval_cycles
         self._cycles_since_switch = 0.0
-        self._bulk = knobs.BULK.enabled()
+        self._bulk = bulk
         #: Dedup cache for the CheckOutcome wrappers around hardware
         #: results; outcomes are frozen, so reuse is observationally
         #: identical to building a fresh instance per event.

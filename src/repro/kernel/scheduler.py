@@ -216,7 +216,7 @@ class DracoCore:
         #: process freshly invalidated per-core structures.
         self.last_schedule_cold = True
 
-    def _pipeline_for(self, process: ScheduledProcess) -> HardwareDraco:
+    def _pipeline_for(self, process: ScheduledProcess, bulk: bool) -> HardwareDraco:
         pipeline = self._pipelines.get(process.name)
         if pipeline is None:
             module = SeccompKernelModule()
@@ -229,12 +229,16 @@ class DracoCore:
                 hw=self.hw,
                 costs=self.costs,
                 hierarchy=self.hierarchy,  # the cache hierarchy is shared
+                bulk=bulk,
             )
             self._pipelines[process.name] = pipeline
         return pipeline
 
-    def schedule(self, process: ScheduledProcess) -> HardwareDraco:
-        """Make *process* current; models the Section VII-B switch."""
+    def schedule(self, process: ScheduledProcess, bulk: bool = True) -> HardwareDraco:
+        """Make *process* current; models the Section VII-B switch.
+        A pipeline built here for a new process takes its steady-state
+        memo only when *bulk* is true (``False`` is the per-event
+        reference)."""
         self.last_schedule_cold = self._current != process.name
         if self._current == process.name:
             return self._pipelines[process.name]
@@ -245,7 +249,7 @@ class DracoCore:
             outgoing = self._pipelines[self._current]
             outgoing.context_switch(same_process=False)
             self.context_switches += 1
-        pipeline = self._pipeline_for(process)
+        pipeline = self._pipeline_for(process, bulk)
         pipeline.resume_process()
         self._current = process.name
         return pipeline
@@ -276,12 +280,13 @@ class RoundRobinScheduler:
     ) -> ScheduleResult:
         """Interleave every process's trace to completion.
 
-        *backend* is the kernel-tier override (``"analytic"``,
-        ``"bulk"`` or ``"event"``); ``None`` follows the environment
-        (see :func:`repro.common.analytic.resolve_backend`).  Quantum
+        *backend* is the kernel tier (``"analytic"``, ``"bulk"`` or
+        ``"event"``); ``None`` means ``"bulk"`` (see
+        :func:`repro.common.analytic.resolve_backend`).  Quantum
         boundaries are exactly the transients the analytic tier
         excludes, so ``"analytic"`` degrades to the exact RLE bulk
-        kernel here.
+        kernel here.  ``"event"`` is the per-event reference: literal
+        quanta over pipelines built without their steady-state memo.
         """
         total = 0
         bulk = analytic_backend.resolve_backend(backend) != "event"
@@ -295,7 +300,7 @@ class RoundRobinScheduler:
         while active:
             still_running = []
             for process in active:
-                pipeline = self.core.schedule(process)
+                pipeline = self.core.schedule(process, bulk)
                 cold = self.core.last_schedule_cold
                 quantum_start = process.syscalls_run
                 cycles_start = process.check_cycles

@@ -18,9 +18,9 @@ the paper's methodology of warming architectural state before measuring
 
 Three execution tiers drive the trace (see ``docs/PERFORMANCE.md``):
 
-* **per-event** (``REPRO_BULK=0``) — the literal ``[check; advance]``
-  loop;
-* **RLE bulk** (``REPRO_BULK=1``, default) — run-length-encoded
+* **per-event** (regimes built with ``bulk=False``) — the literal
+  ``[check; advance]`` loop;
+* **RLE bulk** (``bulk=True``, default) — run-length-encoded
   consumption with regime steady-state shortcuts, byte-identical to
   per-event;
 * **analytic** (``REPRO_ANALYTIC=1``, default) — whole-window replay
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.common import analytic as analytic_backend
 from repro.common import knobs, ledger, telemetry
@@ -55,7 +55,7 @@ from repro.syscalls.events import SyscallEvent, SyscallTrace, iter_runs
 #: summation vs. outcome-grouped summation, etc.), so on-disk result
 #: caches keyed on it are invalidated rather than silently mixing
 #: incompatible floats.  Version 2: run-length-encoded consumption with
-#: outcome-value grouping (identical under ``REPRO_BULK=0`` and ``=1``).
+#: outcome-value grouping (identical under ``bulk=False`` and ``True``).
 SIM_KERNEL_VERSION = 2
 
 #: Fraction of a trace excluded as warm-up by default.  Exposed so
@@ -84,9 +84,10 @@ class RunResult:
     flow_cycles: Dict[str, float] = field(default_factory=dict)
     total_check_cycles: float = 0.0
     warmup_events: int = 0
-    #: Per-structure counters (``regime.structure_stats()`` at the end
-    #: of the run; ``None`` for regimes that keep none).  Extrapolated —
-    #: and flagged via :attr:`analytic` — on sampled runs.
+    #: Per-structure counters over the measured window (the change in
+    #: ``regime.structure_stats()`` across it; ``None`` for regimes that
+    #: keep none).  Extrapolated — and flagged via :attr:`analytic` — on
+    #: sampled runs.
     structures: Optional[Dict[str, Dict[str, float]]] = None
     #: Provenance of the analytic backend, or ``None`` when the exact
     #: kernels ran.
@@ -306,6 +307,7 @@ def _run_exact_window(
                 _deny(regime, event)
 
     regime_before = regime.ledger_snapshot()
+    structures_before = regime.structure_stats()
 
     groups: Dict[CheckOutcome, int] = {}
     groups_get = groups.get
@@ -332,7 +334,7 @@ def _run_exact_window(
         warmed=windows.warmup,
         runs_coalesced=len(windows.measured),
         regime_before=regime_before,
-        structures=regime.structure_stats(),
+        structures=_measured_structures(regime, structures_before),
         analytic_info=AnalyticInfo(
             mode="exact",
             events_simulated=measured,
@@ -340,6 +342,17 @@ def _run_exact_window(
             scale=1.0,
         ),
     )
+
+
+def _measured_structures(
+    regime: CheckingRegime, before: Optional[Dict[str, Dict[str, Any]]]
+) -> Optional[Dict[str, Dict[str, Any]]]:
+    """The regime's structure counters over the measured window, from
+    their snapshot *before* it (Section X-C: warm, then measure)."""
+    after = regime.structure_stats()
+    if after is None:
+        return None
+    return analytic_backend.window_structures(before or {}, after)
 
 
 class _ReplayRegime:
@@ -422,8 +435,9 @@ def _run_sampled_window(
     re-warm, and scales that segment by the (exactly-known) expiry
     count, carving it out of the steady-mix target.
 
-    Structure counters are projected onto the full window; the result is
-    flagged ``derived`` with a split-half error estimate.
+    Structure counters over the sample are projected onto the measured
+    window; the result is flagged ``derived`` with a split-half error
+    estimate.
     """
     check_run = regime.check_run
     work = work_cycles_per_syscall
@@ -581,7 +595,7 @@ def _run_sampled_window(
         error = 0.0
     error = max(error, analytic_backend.HW_ERROR_FLOOR)
 
-    structures = analytic_backend.extrapolate_structures(
+    structures = analytic_backend.window_structures(
         warm_stats, end_stats, sampled, total_measured - sampled
     )
     simulated = sampled + transient_sim
@@ -608,32 +622,30 @@ def _run_sampled_window(
 
 
 def run_trace(
-    trace: Union[SyscallTrace, Iterable[SyscallEvent]],
+    trace: Union[SyscallTrace, Sequence[SyscallEvent]],
     regime: CheckingRegime,
     work_cycles_per_syscall: float,
     syscall_base_cycles: float,
     workload_name: str = "",
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     strict: bool = True,
-    events_total: Optional[int] = None,
     analytic: Optional[bool] = None,
 ) -> RunResult:
     """Execute *trace* under *regime* and compute normalised time.
 
-    *trace* may be any iterable of events — a materialized
-    :class:`SyscallTrace`, a pre-coalesced
-    :class:`repro.syscalls.events.RunTrace`, or a streaming generator
-    such as :meth:`repro.workloads.generator.TraceGenerator.iter_events`.
-    For iterables without a length, pass ``events_total`` so the warm-up
-    window can be sized up front.
+    *trace* is any sized sequence of events — a materialized
+    :class:`SyscallTrace` or a pre-coalesced
+    :class:`repro.syscalls.events.RunTrace`; its length sizes the
+    warm-up window up front.
 
     The trace is consumed as run-length-encoded ``(event, count)``
     pairs and outcomes are accumulated *grouped by value* — one integer
     per distinct :class:`CheckOutcome` — then expanded into the path
     and flow tallies once at the end.  Grouping makes the result
     independent of how regimes segment a run, so the bulk fast path
-    (``REPRO_BULK=1``, the default) and the literal per-event path
-    (``REPRO_BULK=0``) produce byte-identical :class:`RunResult`\\ s.
+    (the default) and the literal per-event path (regimes built with
+    ``bulk=False``) produce byte-identical :class:`RunResult`\\ s.
+    Structure counters cover the measured window only, like the flows.
 
     ``analytic`` is the per-run opt-in/out seam for the analytic tier:
     ``None`` follows ``REPRO_ANALYTIC`` (default on), ``False`` forces
@@ -642,13 +654,13 @@ def run_trace(
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise SimulationError("warmup_fraction must be within [0, 1)")
-    n = events_total if events_total is not None else len(trace)
+    n = len(trace)
     if n <= 0:
         raise SimulationError("empty trace")
     warmup = int(n * warmup_fraction)
 
     use_analytic = knobs.ANALYTIC.enabled() if analytic is None else bool(analytic)
-    if use_analytic and events_total is None:
+    if use_analytic:
         windows = analytic_backend.trace_windows(trace, warmup)
         if windows is not None:
             plan = regime.analytic_plan(windows, work_cycles_per_syscall)
@@ -711,13 +723,9 @@ def run_trace(
                 pending = (event, count - take)
             if warmed >= warmup:
                 break
-        if warmed < warmup:
-            raise SimulationError(
-                f"events_total={n} but the stream ended after {warmed} events, "
-                "inside the warm-up window"
-            )
 
     regime_before = regime.ledger_snapshot()
+    structures_before = regime.structure_stats()
 
     measured_runs = chain((pending,), runs) if pending is not None else runs
     groups_get = groups.get
@@ -751,23 +759,6 @@ def run_trace(
                 groups[outcome] = grouped + seg
         measured += count
 
-    if measured == 0:
-        short = (
-            f"; the stream ended after {warmed} of events_total={n} events"
-            if events_total is not None and warmed < n
-            else ""
-        )
-        raise SimulationError(
-            f"warm-up consumed all {warmed} events"
-            f" (warmup_fraction={warmup_fraction}){short} — nothing left to "
-            "measure; lower warmup_fraction or lengthen the trace"
-        )
-    if events_total is not None and warmed + measured < n:
-        raise SimulationError(
-            f"events_total={n} but the stream ended after "
-            f"{warmed + measured} events"
-        )
-
     return _build_result(
         regime=regime,
         workload_name=workload_name,
@@ -778,7 +769,7 @@ def run_trace(
         warmed=warmed,
         runs_coalesced=runs_coalesced,
         regime_before=regime_before,
-        structures=regime.structure_stats(),
+        structures=_measured_structures(regime, structures_before),
         analytic_info=None,
     )
 

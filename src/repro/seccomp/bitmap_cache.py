@@ -24,7 +24,6 @@ from typing import List, Optional, Set, Tuple
 
 from repro.bpf.abstract import constant_action_for
 from repro.common import analytic as analytic_backend
-from repro.common import knobs
 from repro.core.software import CheckOutcome
 from repro.kernel.regimes import (
     CheckingRegime,
@@ -102,6 +101,7 @@ class SeccompBitmapRegime(CheckingRegime):
         use_jit: bool = True,
         costs: SoftwareCostParams = DEFAULT_SW_COSTS,
         name: Optional[str] = None,
+        bulk: bool = True,
     ) -> None:
         self.name = name or f"seccomp-bitmap:{profile.name}" + (
             "" if times == 1 else f"x{times}"
@@ -122,7 +122,7 @@ class SeccompBitmapRegime(CheckingRegime):
         self._outcome_memo = _shared_outcome_memo(
             profile, times, compiler, use_jit, costs, kind="bitmap"
         )
-        self._bulk = knobs.BULK.enabled()
+        self._bulk = bulk
 
     def check(self, event: SyscallEvent) -> CheckOutcome:
         if self.cache.hit(event.sid):

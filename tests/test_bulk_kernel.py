@@ -1,10 +1,11 @@
 """Differential tests for the batched (run-length-encoded) simulation kernel.
 
-The contract under test: with ``REPRO_BULK=1`` (the default) the
+The contract under test: with ``bulk=True`` (the default) the
 simulator consumes run-length-encoded ``(event, count)`` pairs and the
 regimes take steady-state shortcuts, yet every ``RunResult`` — cycles,
 flows, paths, ledger — is **byte-identical** to the literal per-event
-path (``REPRO_BULK=0``).  These tests pin that equivalence across
+path (regimes built with ``bulk=False``, schedulers run with
+``backend="event"``).  These tests pin that equivalence across
 regimes, workloads, the BPF fast-path toggle, the scheduler and the
 multi-core system, plus the supporting pieces: run-length encoding,
 pollution credit banking, parallel suites and telemetry aggregation.
@@ -17,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import knobs
 from repro.cpu.hierarchy import MemoryHierarchy
 from repro.syscalls.events import iter_runs, make_event
 
@@ -146,31 +146,16 @@ class TestPollutionCredit:
         assert _hierarchy_state(h) == state
 
 
-# -- REPRO_BULK parsing ------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "value,expected",
-    [(None, True), ("1", True), ("yes", True), ("0", False), ("off", False),
-     ("FALSE", False), ("no", False)],
-)
-def test_bulk_enabled_parsing(monkeypatch, value, expected):
-    if value is None:
-        monkeypatch.delenv("REPRO_BULK", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_BULK", value)
-    assert knobs.BULK.enabled() is expected
-
-
-# -- differential: run_trace under REPRO_BULK=0 vs 1 --------------------
+# -- differential: run_trace with bulk=False vs True ---------------------
 
 
 def _run_result_json(workload, regime_name, monkeypatch, *, bulk, fastpath=True):
     """One (workload, regime) simulation serialized for byte comparison.
 
     ``name*k`` runs the context's trace with every event repeated *k*
-    times, on the exact kernels.  ``fastpath=False`` builds the regime
-    with its BPF filters on the interpreter instead of compiled code.
+    times, on the exact kernels.  ``bulk=False`` builds the per-event
+    reference regime; ``fastpath=False`` builds the regime with its BPF
+    filters on the interpreter instead of compiled code.
     The ledger's conservation audits run inside every simulation, so
     bulk accounting drift raises before the comparison.
     """
@@ -178,8 +163,9 @@ def _run_result_json(workload, regime_name, monkeypatch, *, bulk, fastpath=True)
     from repro.kernel.simulator import run_trace
     from repro.syscalls.events import SyscallTrace
 
-    monkeypatch.setenv("REPRO_BULK", "1" if bulk else "0")
-    overrides = {} if fastpath else {"fastpath": False}
+    overrides = {} if bulk else {"bulk": False}
+    if not fastpath:
+        overrides["fastpath"] = False
     name, _, repeat = workload.partition("*")
     ctx = get_context(name, events=2_000, seed=7)
     if repeat:
@@ -214,16 +200,61 @@ def test_bulk_identity_survives_fastpath_toggle(regime, monkeypatch):
     assert fast == slow
 
 
-def test_kill_switch_reaches_regimes(monkeypatch):
+def test_bitmap_bulk_byte_identical():
+    # The 5.11 bitmap regime is built outside make_regime; its per-event
+    # reference must match the bulk path on the run-amplified trace.
+    from repro.experiments.runner import get_context
+    from repro.kernel.simulator import run_trace
+    from repro.seccomp.bitmap_cache import SeccompBitmapRegime
+    from repro.syscalls.events import SyscallTrace
+
+    ctx = get_context("pipe-ipc", events=2_000, seed=7)
+    trace = SyscallTrace([event for event in ctx.trace for _ in range(32)])
+    snapshots = []
+    for bulk in (False, True):
+        regime = SeccompBitmapRegime(ctx.bundle.complete, bulk=bulk)
+        result = run_trace(
+            trace,
+            regime,
+            work_cycles_per_syscall=ctx.work_cycles,
+            syscall_base_cycles=ctx.syscall_base_cycles,
+            analytic=False,
+        )
+        snapshots.append(
+            (
+                json.dumps(dataclasses.asdict(result), sort_keys=True),
+                regime.bitmap_hits,
+                regime.filter_runs,
+            )
+        )
+    assert snapshots[0] == snapshots[1]
+
+
+def test_kill_switch_reaches_regimes():
     from repro.experiments.runner import get_context
 
-    monkeypatch.setenv("REPRO_BULK", "0")
     ctx = get_context("grep", events=500, seed=7)
-    assert ctx.make_regime("syscall-complete")._bulk is False
-    assert ctx.make_regime("draco-hw-complete")._bulk is False
-    monkeypatch.setenv("REPRO_BULK", "1")
-    assert ctx.make_regime("syscall-complete")._bulk is True
-    assert ctx.make_regime("draco-hw-complete")._bulk is True
+    for name in ("syscall-complete", "draco-hw-complete"):
+        reference = ctx.make_regime(name, bulk=False)
+        assert reference._bulk is False
+        assert ctx.make_regime(name)._bulk is True
+    assert ctx.make_regime("draco-sw-complete", bulk=False).draco._bulk is False
+    assert ctx.make_regime("draco-hw-complete", bulk=False).draco._bulk is False
+    # backend="event" also builds the scheduler's pipelines without
+    # their steady-state memo.
+    from repro.kernel.scheduler import RoundRobinScheduler, ScheduledProcess
+    from repro.seccomp.toolkit import generate_complete
+    from repro.syscalls.events import SyscallTrace
+
+    trace = SyscallTrace([make_event("read", (3, 64), pc=0x100)] * 40)
+    profile = generate_complete(trace, "p")
+    for backend, bulk in (("event", False), ("bulk", True)):
+        process = ScheduledProcess(
+            name="p", profile=profile, trace=trace, work_cycles_per_syscall=500.0
+        )
+        scheduler = RoundRobinScheduler([process])
+        scheduler.run(backend=backend)
+        assert scheduler.core._pipelines["p"]._bulk is bulk
 
 
 # -- differential: scheduler and multi-core -----------------------------
@@ -250,12 +281,11 @@ def _tenant_processes(events=1_500):
     return processes
 
 
-def _scheduler_snapshot(monkeypatch, *, bulk):
+def _scheduler_snapshot(*, backend):
     from repro.kernel.scheduler import RoundRobinScheduler
 
-    monkeypatch.setenv("REPRO_BULK", "1" if bulk else "0")
     scheduler = RoundRobinScheduler(_tenant_processes(), quantum_syscalls=150)
-    run = scheduler.run()
+    run = scheduler.run(backend=backend)
     return json.dumps(
         {
             "per_process": run.per_process,
@@ -266,20 +296,19 @@ def _scheduler_snapshot(monkeypatch, *, bulk):
     )
 
 
-def test_scheduler_bulk_byte_identical(monkeypatch):
-    slow = _scheduler_snapshot(monkeypatch, bulk=False)
-    fast = _scheduler_snapshot(monkeypatch, bulk=True)
+def test_scheduler_bulk_byte_identical():
+    slow = _scheduler_snapshot(backend="event")
+    fast = _scheduler_snapshot(backend="bulk")
     assert fast == slow
 
 
-def _multicore_snapshot(monkeypatch, *, bulk):
+def _multicore_snapshot(*, backend):
     from repro.kernel.multicore import MultiCoreSystem
 
-    monkeypatch.setenv("REPRO_BULK", "1" if bulk else "0")
     system = MultiCoreSystem(cores=2, quantum_syscalls=150)
     for process in _tenant_processes(events=1_000):
         system.assign(process)
-    run = system.run()
+    run = system.run(backend=backend)
     return json.dumps(
         {
             "per_process": run.per_process,
@@ -291,9 +320,9 @@ def _multicore_snapshot(monkeypatch, *, bulk):
     )
 
 
-def test_multicore_bulk_byte_identical(monkeypatch):
-    slow = _multicore_snapshot(monkeypatch, bulk=False)
-    fast = _multicore_snapshot(monkeypatch, bulk=True)
+def test_multicore_bulk_byte_identical():
+    slow = _multicore_snapshot(backend="event")
+    fast = _multicore_snapshot(backend="bulk")
     assert fast == slow
 
 
@@ -464,11 +493,10 @@ def test_merge_simulations_sums_and_rederives_run_length():
     assert merged["mean_run_length"] == 1.5
 
 
-def test_run_trace_records_runs_coalesced(monkeypatch):
+def test_run_trace_records_runs_coalesced():
     from repro.common import telemetry
     from repro.experiments.runner import get_context
 
-    monkeypatch.setenv("REPRO_BULK", "1")
     telemetry.reset_counters()
     ctx = get_context("pipe-ipc", events=1_000, seed=9)
     ctx.evaluate("syscall-complete")

@@ -314,13 +314,13 @@ class TestCalibrationMemoKey:
     a recycled id was served a stale W."""
 
     @pytest.fixture
-    def inputs(self, cache_dir, monkeypatch):
+    def inputs(self, cache_dir):
         # Disk tiers off: isolate the in-process memo under test.
-        monkeypatch.setenv(result_cache.CACHE_DISABLE_ENV, "1")
-        spec = CATALOG[WORKLOAD]
-        trace = runner._trace_for(spec, 800, DEFAULT_SEED)
-        bundle = runner._bundle_for(spec, DEFAULT_SEED)
-        return spec, trace, bundle
+        with storage.cache_overrides(disable=True):
+            spec = CATALOG[WORKLOAD]
+            trace = runner._trace_for(spec, 800, DEFAULT_SEED)
+            bundle = runner._bundle_for(spec, DEFAULT_SEED)
+            yield spec, trace, bundle
 
     def test_recycled_cost_id_recalibrates(self, inputs):
         spec, trace, bundle = inputs
@@ -361,24 +361,19 @@ class TestCalibrationMemoKey:
 
 
 class TestEvalMemoEnvFlip:
-    def test_flip_mid_process_does_not_serve_stale(self, cache_dir, monkeypatch):
-        """Turning the store off mid-process (the environment switch or
-        a context-local override) must re-run the evaluation (fresh
-        object) on the exact kernels, byte-identical to the replayed
-        one."""
+    def test_flip_mid_process_does_not_serve_stale(self, cache_dir):
+        """Turning the store off mid-process (a context-local override)
+        must re-run the evaluation (fresh object) on the exact kernels,
+        byte-identical to the replayed one."""
         ctx = runner.get_context(WORKLOAD, events=EVENTS)
         replayed = ctx.evaluate(REGIME_COMPLETE)
         assert seccomp_replay.replays_served > 0
         served = seccomp_replay.replays_served
-        monkeypatch.setenv(result_cache.CACHE_DISABLE_ENV, "1")
-        exact = ctx.evaluate(REGIME_COMPLETE)
-        assert exact is not replayed  # memo keyed on the env knobs
-        assert exact == replayed
-        monkeypatch.delenv(result_cache.CACHE_DISABLE_ENV)
         with storage.cache_overrides(disable=True):
             overridden = ctx.evaluate(REGIME_COMPLETE)
-        assert overridden is not replayed and overridden == replayed
-        assert seccomp_replay.replays_served == served  # both ran exactly
+        assert overridden is not replayed  # memo keyed on the override
+        assert overridden == replayed
+        assert seccomp_replay.replays_served == served  # ran exactly
         assert ctx.evaluate(REGIME_COMPLETE) is replayed
 
 

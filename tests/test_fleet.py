@@ -220,8 +220,8 @@ class TestTelemetry:
             assert fleet["invocations"] == 300
             assert fleet["cold_starts"] + fleet["warm_starts"] == 300
             regime = f"fleet-{POLICY_ROUND_ROBIN}"
-            assert snapshot["regime_events"][regime] > 0
             flows = snapshot["flows"][regime]
+            assert flows["events"] > 0
             assert flows["events"] == sum(flows["counts"].values())
         finally:
             telemetry.reset_counters()

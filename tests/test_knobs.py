@@ -20,7 +20,7 @@ def _identities():
 
 def test_names_are_unique_and_prefixed():
     names = [knob.name for knob in knobs.KNOBS]
-    assert len(set(names)) == len(names) == 4
+    assert len(set(names)) == len(names) == 2
     assert all(name.startswith("REPRO_") for name in names)
     assert {knob.effect for knob in knobs.KNOBS} == {knobs.COMPUTE, knobs.STORAGE}
 
@@ -28,21 +28,21 @@ def test_names_are_unique_and_prefixed():
 @pytest.mark.parametrize("value, on", [("0", False), ("OFF", False), ("no", False),
                                        ("1", True), ("yes", True)])
 def test_on_off_parsing(monkeypatch, value, on):
-    monkeypatch.setenv(knobs.BULK.name, value)
-    assert knobs.BULK.enabled() is on
+    monkeypatch.setenv(knobs.ANALYTIC.name, value)
+    assert knobs.ANALYTIC.enabled() is on
 
 
 def test_unset_reads_as_default(monkeypatch):
-    monkeypatch.delenv(knobs.BULK.name, raising=False)
+    monkeypatch.delenv(knobs.ANALYTIC.name, raising=False)
     unset = _identities()
-    monkeypatch.setenv(knobs.BULK.name, knobs.BULK.default)
+    monkeypatch.setenv(knobs.ANALYTIC.name, knobs.ANALYTIC.default)
     assert _identities() == unset
 
 
 def test_compute_switch_changes_every_identity(monkeypatch):
-    monkeypatch.delenv(knobs.BULK.name, raising=False)
+    monkeypatch.delenv(knobs.ANALYTIC.name, raising=False)
     before = _identities()
-    monkeypatch.setenv(knobs.BULK.name, "0")
+    monkeypatch.setenv(knobs.ANALYTIC.name, "0")
     after = _identities()
     assert all(a != b for a, b in zip(before, after))
 

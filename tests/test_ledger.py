@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common import ledger, telemetry
-from repro.common.errors import SimulationError
 from repro.common.telemetry import ExperimentRecord, RunReport
 from repro.core.slb import SlbSubtable
 from repro.cpu.params import SlbSubtableParams
@@ -93,64 +92,6 @@ class TestFlowLedger:
         liar = ledger.FlowLedger({"none": 2}, {"none": 6.0})
         with pytest.raises(ledger.ConservationError, match="counted 2 times"):
             liar.audit_against(before, after, scope="t")
-
-
-# ---------------------------------------------------------------------------
-# Simulator warm-up bugfixes (satellite regressions)
-
-
-class TestWarmupRegressions:
-    def test_warmup_consuming_all_events_raises(self):
-        trace = _trace(events=5)  # 15 events
-        stream = iter(list(trace)[:6])  # int(15 * 0.4) = 6: all warm-up
-        with pytest.raises(SimulationError, match="warm-up consumed all 6 events"):
-            run_trace(
-                stream,
-                InsecureRegime(),
-                100.0,
-                150.0,
-                warmup_fraction=0.4,
-                events_total=15,
-            )
-
-    def test_stream_ending_inside_warmup_raises(self):
-        trace = _trace(events=5)
-        stream = iter(list(trace)[:4])
-        with pytest.raises(SimulationError, match="inside the warm-up window"):
-            run_trace(
-                stream,
-                InsecureRegime(),
-                100.0,
-                150.0,
-                warmup_fraction=0.4,
-                events_total=15,
-            )
-
-    def test_short_stream_after_warmup_raises(self):
-        trace = _trace(events=5)
-        stream = iter(list(trace)[:10])
-        with pytest.raises(SimulationError, match="ended after 10 events"):
-            run_trace(
-                stream,
-                InsecureRegime(),
-                100.0,
-                150.0,
-                warmup_fraction=0.4,
-                events_total=15,
-            )
-
-    def test_exact_length_stream_is_fine(self):
-        trace = _trace(events=5)
-        result = run_trace(
-            iter(list(trace)),
-            InsecureRegime(),
-            100.0,
-            150.0,
-            warmup_fraction=0.4,
-            events_total=15,
-        )
-        assert result.events_measured == 9
-        assert result.warmup_events == 6
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ class TestWarmPool:
         engine.run_suite(["fig13"], jobs=2, cache_mode=engine.CACHE_OFF,
                          run_overrides=overrides)
         first_key = warm_pool.pool_key(2)
-        monkeypatch.setenv("REPRO_BULK", "0")
+        monkeypatch.setenv("REPRO_ANALYTIC", "0")
         assert warm_pool.pool_key(2) != first_key
         recycled_before = warm_pool.stats()["recycled"]
         engine.run_suite(["fig13"], jobs=2, cache_mode=engine.CACHE_OFF,
@@ -103,9 +103,8 @@ class TestCacheThreading:
     """Satellite: run_suite must not mutate os.environ, and must probe
     all tasks before paying pool dispatch."""
 
-    def test_run_suite_leaves_environ_alone(self, cache_dir, tmp_path, monkeypatch):
+    def test_run_suite_leaves_environ_alone(self, cache_dir, tmp_path):
         other = tmp_path / "other-cache"
-        monkeypatch.delenv(result_cache.CACHE_DISABLE_ENV, raising=False)
         run = engine.run_suite(
             ["fig13"], jobs=1, cache_mode=engine.CACHE_ON,
             cache_dir=str(other),
@@ -115,18 +114,18 @@ class TestCacheThreading:
         # The env still points at the fixture cache; the explicit
         # cache_dir won and was never written back to the environment.
         assert os.environ[result_cache.CACHE_DIR_ENV] == str(cache_dir)
-        assert result_cache.CACHE_DISABLE_ENV not in os.environ
         assert run.report.cache_dir == str(other)
         assert (other / "store" / "result").exists()
         assert not cache_dir.exists()
 
     def test_cache_off_does_not_set_disable_env(self, cache_dir):
+        environ = dict(os.environ)
         run = engine.run_suite(
             ["fig13"], jobs=1, cache_mode=engine.CACHE_OFF,
             run_overrides={"fig13": {"workloads": WORKLOADS, "events": EVENTS}},
         )
         assert not run.failures
-        assert result_cache.CACHE_DISABLE_ENV not in os.environ
+        assert dict(os.environ) == environ
         assert not cache_dir.exists()
 
     def test_fully_cached_parallel_run_skips_the_pool(self, cache_dir, monkeypatch):
